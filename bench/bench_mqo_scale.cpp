@@ -1,16 +1,17 @@
-// Enumeration-strategy scalability sweep (DESIGN.md §12): synthetic
-// shared-prefix batches of 10 -> 1000 statements, optimized (never
-// executed) under each EnumerationStrategy. Reports per-strategy
-// optimization time, Step-3 enumeration time, chosen-set size, and final
-// plan cost vs. exhaustive on the sizes where exhaustive is feasible.
+// Optimizer scalability sweep (DESIGN.md §12): synthetic shared-prefix
+// batches of 10 -> 1000 statements (testing/shared_prefix.h), optimized
+// (never executed) under each EnumerationStrategy. Reports per strategy and
+// size the end-to-end Optimize() time, the Step-2 candidate-generation time
+// (signatures, join compatibility, Algorithm 1 + H1–H4, cap), the Step-3
+// enumeration time, chosen-set size, and final plan cost vs. exhaustive on
+// the sizes where exhaustive is feasible.
 //
-// The batch generator cycles over twelve join cores with distinct table
-// signatures; statements sharing a core differ in grouping column,
-// aggregate, and range predicate, so every core yields a covering CSE
-// (merged group-by + predicate hull) and the candidate pool saturates the
-// max_candidates cap as the batch grows — which is what makes §5.3
-// exhaustive subset re-optimization the scaling bottleneck the greedy and
-// approximate strategies exist to avoid.
+// Every core of the family yields a covering CSE (merged group-by +
+// predicate hull) and the candidate pool saturates the max_candidates cap
+// as the batch grows — which is what makes §5.3 exhaustive subset
+// re-optimization the Step-3 bottleneck the greedy and approximate
+// strategies exist to avoid, and Algorithm 1's merge attempts (quadratic in
+// the consumers of a signature) the Step-2 one.
 //
 // Exhaustive runs only while its (linearly) predicted Step-3 time fits the
 // wall-clock budget (SUBSHARE_MQO_BUDGET seconds, default 15); beyond that
@@ -19,6 +20,9 @@
 // memo while the subset count is fixed by the candidate cap.
 //
 // Tracked regression bars (exit code 1 on failure):
+//   * at 1000 statements, Step 2 takes <= 1 s under exhaustive (Step 2 is
+//     strategy-invariant; if exhaustive was skipped there, the slowest
+//     Step 2 among the strategies that ran is gated instead);
 //   * at the largest size, greedy and approximate each enumerate >= 10x
 //     faster than exhaustive (measured, or the extrapolation above);
 //   * on every size where exhaustive completed, each strategy's final plan
@@ -33,110 +37,19 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "testing/shared_prefix.h"
 #include "util/check.h"
 #include "util/string_util.h"
 
 namespace subshare::bench {
 namespace {
 
-struct Core {
-  const char* from;
-  const char* join;
-  const char* groups[3];
-  const char* aggs[3];
-  const char* preds[3];
-};
-
-// Twelve cores with pairwise-distinct table signatures. Predicate variants
-// are single-column ranges so the §4.2 hull simplification applies.
-const Core kCores[] = {
-    {"customer, orders, lineitem",
-     "c_custkey = o_custkey and o_orderkey = l_orderkey",
-     {"c_nationkey", "c_mktsegment", "o_orderpriority"},
-     {"sum(l_extendedprice)", "sum(l_quantity)", "count(*)"},
-     {"o_orderdate < '1996-07-01'", "o_orderdate < '1997-01-01'",
-      "o_orderdate < '1995-07-01'"}},
-    {"customer, orders, lineitem, nation",
-     "c_custkey = o_custkey and o_orderkey = l_orderkey and "
-     "c_nationkey = n_nationkey",
-     {"n_regionkey", "n_name", "c_mktsegment"},
-     {"sum(l_extendedprice)", "sum(l_discount)", "count(*)"},
-     {"c_nationkey > 0 and c_nationkey < 20",
-      "c_nationkey > 2 and c_nationkey < 24",
-      "c_nationkey > 5 and c_nationkey < 25"}},
-    {"orders, lineitem", "o_orderkey = l_orderkey",
-     {"o_orderpriority", "o_orderstatus", "o_shippriority"},
-     {"sum(l_quantity)", "sum(l_extendedprice)", "count(*)"},
-     {"o_totalprice > 1000", "o_totalprice > 5000", "o_totalprice > 10000"}},
-    {"customer, orders", "c_custkey = o_custkey",
-     {"c_mktsegment", "c_nationkey", "o_orderstatus"},
-     {"sum(o_totalprice)", "count(*)", "max(o_totalprice)"},
-     {"c_acctbal > -100", "c_acctbal > 0", "c_acctbal > 500"}},
-    {"part, lineitem", "p_partkey = l_partkey",
-     {"p_brand", "p_type", "p_container"},
-     {"sum(l_quantity)", "count(*)", "min(l_extendedprice)"},
-     {"p_size < 30", "p_size < 25", "p_size < 40"}},
-    {"part, orders, lineitem",
-     "p_partkey = l_partkey and o_orderkey = l_orderkey",
-     {"p_type", "p_brand", "o_orderpriority"},
-     {"sum(l_quantity)", "sum(l_extendedprice)", "count(*)"},
-     {"o_orderdate < '1996-07-01'", "o_orderdate < '1996-01-01'",
-      "o_orderdate < '1997-01-01'"}},
-    {"customer, nation", "c_nationkey = n_nationkey",
-     {"n_name", "c_mktsegment", "n_regionkey"},
-     {"count(*)", "sum(c_acctbal)", "max(c_acctbal)"},
-     {"c_acctbal > -200", "c_acctbal > 0", "c_acctbal > 250"}},
-    {"supplier, nation", "s_nationkey = n_nationkey",
-     {"n_name", "n_regionkey", "s_nationkey"},
-     {"count(*)", "sum(s_acctbal)", "min(s_acctbal)"},
-     {"s_acctbal > -300", "s_acctbal > 0", "s_acctbal > 100"}},
-    {"partsupp, part", "ps_partkey = p_partkey",
-     {"p_type", "p_brand", "p_container"},
-     {"sum(ps_supplycost)", "sum(ps_availqty)", "count(*)"},
-     {"p_size < 20", "p_size < 35", "p_size < 45"}},
-    {"partsupp, supplier", "ps_suppkey = s_suppkey",
-     {"s_nationkey", "s_name", "s_nationkey"},
-     {"sum(ps_supplycost)", "count(*)", "sum(ps_availqty)"},
-     {"ps_availqty > 100", "ps_availqty > 500", "ps_availqty > 1000"}},
-    {"customer, orders, lineitem, nation, region",
-     "c_custkey = o_custkey and o_orderkey = l_orderkey and "
-     "c_nationkey = n_nationkey and n_regionkey = r_regionkey",
-     {"r_name", "n_name", "c_mktsegment"},
-     {"sum(l_extendedprice)", "sum(l_quantity)", "count(*)"},
-     {"o_orderdate < '1996-07-01'", "o_orderdate < '1995-06-01'",
-      "o_orderdate < '1997-01-01'"}},
-    {"lineitem, supplier", "l_suppkey = s_suppkey",
-     {"s_nationkey", "l_returnflag", "l_linestatus"},
-     {"sum(l_quantity)", "sum(l_extendedprice)", "count(*)"},
-     {"l_shipdate < '1996-01-01'", "l_shipdate < '1996-07-01'",
-      "l_shipdate < '1995-06-01'"}},
-};
-constexpr int kNumCores = static_cast<int>(sizeof(kCores) / sizeof(kCores[0]));
-
-std::string MqoQuery(int i) {
-  const Core& core = kCores[i % kNumCores];
-  int v = i / kNumCores;
-  const char* group = core.groups[v % 3];
-  const char* agg = core.aggs[(v / 3) % 3];
-  const char* pred = core.preds[(v / 9) % 3];
-  return StrFormat("select %s, %s as a from %s where %s and %s group by %s",
-                   group, agg, core.from, core.join, pred, group);
-}
-
-std::string MqoBatch(int n) {
-  std::string batch;
-  for (int i = 0; i < n; ++i) {
-    if (i > 0) batch += "; ";
-    batch += MqoQuery(i);
-  }
-  return batch;
-}
-
 struct StrategyResult {
   std::string name;
   bool ran = false;
-  double opt_seconds = 0;    // whole Optimize() call
-  double enum_seconds = 0;   // Step-3 enabled-set search only
+  double optimize_seconds = 0;  // whole Optimize() call
+  double generate_seconds = 0;  // Step-2 candidate generation only
+  double enum_seconds = 0;      // Step-3 enabled-set search only
   int cse_optimizations = 0;
   int candidates = 0;        // after pruning / cap
   int chosen = 0;            // CSEs in the final plan
@@ -160,7 +73,8 @@ StrategyResult RunStrategy(Database* db, const std::string& batch,
   StrategyResult r;
   r.name = EnumerationStrategyName(strategy);
   r.ran = true;
-  r.opt_seconds = run->metrics.optimize_seconds;
+  r.optimize_seconds = run->metrics.optimize_seconds;
+  r.generate_seconds = run->metrics.generate_seconds;
   r.enum_seconds = run->metrics.enumerate_seconds;
   r.cse_optimizations = run->metrics.cse_optimizations;
   r.candidates = run->metrics.candidates_after_pruning;
@@ -190,9 +104,9 @@ int main() {
   double budget = EnvSeconds("SUBSHARE_MQO_BUDGET", 15.0);
   int max_size = static_cast<int>(EnvSeconds("SUBSHARE_MQO_MAX", 1000));
 
-  std::printf("== bench_mqo_scale: enumeration-strategy scaling "
+  std::printf("== bench_mqo_scale: optimizer scaling "
               "(SF=%.3f, %d cores, exhaustive budget %.1fs) ==\n",
-              sf, kNumCores, budget);
+              sf, testing::kSharedPrefixCores, budget);
   Database db;
   CHECK(db.LoadTpch(sf).ok());
 
@@ -216,11 +130,11 @@ int main() {
   double ex_largest_enum = 0;
   bool ex_alive = true;
 
-  std::printf("\n%10s %-12s %10s %10s %8s %6s %6s %14s\n", "statements",
-              "strategy", "opt(s)", "enum(s)", "[Opt]", "cands", "chosen",
-              "final cost");
+  std::printf("\n%10s %-12s %10s %10s %10s %8s %6s %6s %14s\n",
+              "statements", "strategy", "opt(s)", "step2(s)", "enum(s)",
+              "[Opt]", "cands", "chosen", "final cost");
   for (int n : sizes) {
-    std::string batch = MqoBatch(n);
+    std::string batch = testing::SharedPrefixBatch(n);
     SizeResult sr;
     sr.statements = n;
     for (EnumerationStrategy strategy : kStrategies) {
@@ -243,15 +157,32 @@ int main() {
         ex_largest_enum = r.enum_seconds;
         if (r.enum_seconds > budget) ex_alive = false;
       }
-      std::printf("%10d %-12s %10.4f %10.4f %8d %6d %6d %14.2f\n", n,
-                  r.name.c_str(), r.opt_seconds, r.enum_seconds,
-                  r.cse_optimizations, r.candidates, r.chosen, r.final_cost);
+      std::printf("%10d %-12s %10.4f %10.4f %10.4f %8d %6d %6d %14.2f\n", n,
+                  r.name.c_str(), r.optimize_seconds, r.generate_seconds,
+                  r.enum_seconds, r.cse_optimizations, r.candidates, r.chosen,
+                  r.final_cost);
       sr.runs.push_back(std::move(r));
     }
     results.push_back(std::move(sr));
   }
 
-  // Gate 1: at the largest size, greedy/approximate Step-3 time >= 10x
+  // Gate 1: Step 2 at 1000 statements <= 1 s under exhaustive (or, if it
+  // was skipped there, the slowest Step 2 among the strategies that ran).
+  constexpr int kStep2Statements = 1000;
+  constexpr double kStep2Bar = 1.0;
+  double step2_at_bar = -1;  // -1: the sweep stopped below 1000 statements
+  for (const SizeResult& sr : results) {
+    if (sr.statements != kStep2Statements) continue;
+    if (sr.runs[0].ran) {
+      step2_at_bar = sr.runs[0].generate_seconds;
+      continue;
+    }
+    for (const StrategyResult& r : sr.runs) {
+      if (r.ran) step2_at_bar = std::max(step2_at_bar, r.generate_seconds);
+    }
+  }
+
+  // Gate 2: at the largest size, greedy/approximate Step-3 time >= 10x
   // faster than exhaustive (measured there, or extrapolated linearly from
   // its largest feasible size).
   const SizeResult& last = results.back();
@@ -265,7 +196,7 @@ int main() {
   double greedy_speedup = ex_at_max / std::max(1e-9, last.runs[1].enum_seconds);
   double approx_speedup = ex_at_max / std::max(1e-9, last.runs[2].enum_seconds);
 
-  // Gate 2: wherever exhaustive completed, each strategy's final cost is
+  // Gate 3: wherever exhaustive completed, each strategy's final cost is
   // within 25% of exhaustive's.
   double worst_ratio_greedy = 1.0, worst_ratio_approx = 1.0;
   for (const SizeResult& sr : results) {
@@ -281,15 +212,20 @@ int main() {
   std::printf("exhaustive enum at %d statements: %.4fs (%s)\n",
               last.statements, ex_at_max,
               last_ex.ran ? "measured" : "extrapolated");
+  if (step2_at_bar >= 0) {
+    std::printf("step 2 at %d statements: %.4fs (bar %.1fs)\n",
+                kStep2Statements, step2_at_bar, kStep2Bar);
+  }
   std::printf("greedy:      %.1fx faster, worst cost ratio %.3f\n",
               greedy_speedup, worst_ratio_greedy);
   std::printf("approximate: %.1fx faster, worst cost ratio %.3f\n",
               approx_speedup, worst_ratio_approx);
 
   std::string json = StrFormat(
-      "{\"bench\":\"mqo_scale\",\"schema_version\":1,\"timestamp\":%lld,"
+      "{\"bench\":\"mqo_scale\",\"schema_version\":2,\"timestamp\":%lld,"
       "\"scale_factor\":%g,\"cores\":%d,\"max_candidates\":12,\"sizes\":[",
-      static_cast<long long>(std::time(nullptr)), sf, kNumCores);
+      static_cast<long long>(std::time(nullptr)), sf,
+      testing::kSharedPrefixCores);
   for (size_t i = 0; i < results.size(); ++i) {
     const SizeResult& sr = results[i];
     json += StrFormat("%s{\"statements\":%d,\"strategies\":[",
@@ -297,13 +233,15 @@ int main() {
     for (size_t j = 0; j < sr.runs.size(); ++j) {
       const StrategyResult& r = sr.runs[j];
       json += StrFormat(
-          "%s{\"strategy\":\"%s\",\"feasible\":%s,\"opt_seconds\":%.6f,"
+          "%s{\"strategy\":\"%s\",\"feasible\":%s,"
+          "\"optimize_seconds\":%.6f,\"generate_seconds\":%.6f,"
           "\"enum_seconds\":%.6f,\"cse_optimizations\":%d,"
           "\"candidates\":%d,\"chosen\":%d,\"normal_cost\":%.2f,"
           "\"final_cost\":%.2f}",
           j == 0 ? "" : ",", r.name.c_str(), r.ran ? "true" : "false",
-          r.opt_seconds, r.enum_seconds, r.cse_optimizations, r.candidates,
-          r.chosen, r.normal_cost, r.final_cost);
+          r.optimize_seconds, r.generate_seconds, r.enum_seconds,
+          r.cse_optimizations, r.candidates, r.chosen, r.normal_cost,
+          r.final_cost);
     }
     json += "]}";
   }
@@ -311,11 +249,14 @@ int main() {
       "],\"exhaustive_largest_feasible\":%d,"
       "\"exhaustive_enum_seconds_at_max\":%.6f,"
       "\"exhaustive_at_max_measured\":%s,"
-      "\"gates\":{\"speedup_bar\":10.0,\"cost_ratio_bar\":1.25,"
+      "\"gates\":{\"step2_bar_seconds\":%.1f,"
+      "\"step2_seconds_at_1000\":%.6f,"
+      "\"speedup_bar\":10.0,\"cost_ratio_bar\":1.25,"
       "\"greedy_speedup\":%.2f,\"approximate_speedup\":%.2f,"
       "\"worst_cost_ratio_greedy\":%.4f,\"worst_cost_ratio_approximate\":%.4f}"
       "}",
-      ex_largest, ex_at_max, last_ex.ran ? "true" : "false", greedy_speedup,
+      ex_largest, ex_at_max, last_ex.ran ? "true" : "false", kStep2Bar,
+      step2_at_bar, greedy_speedup,
       approx_speedup, worst_ratio_greedy, worst_ratio_approx);
 
   FILE* f = std::fopen("BENCH_mqo_scale.json", "w");
@@ -329,6 +270,12 @@ int main() {
   std::printf("wrote BENCH_mqo_scale.json (+ BENCH_mqo_scale_history.jsonl)\n");
 
   int rc = 0;
+  if (step2_at_bar > kStep2Bar) {
+    std::printf("WARNING: Step 2 takes %.2fs at %d statements, above the "
+                "%.1fs bar\n",
+                step2_at_bar, kStep2Statements, kStep2Bar);
+    rc = 1;
+  }
   struct SpeedGate {
     const char* name;
     double speedup;

@@ -18,6 +18,14 @@
 // Heuristics 1 (skip cheap sets), 2 (exclude huge-result consumers) and 3
 // (merge only when beneficial). Heuristic 4 (containment) runs across
 // candidates in core/cse_optimizer.
+//
+// Algorithm 1 evaluates every merge attempt `current ∪ {j}` against an
+// incremental covering state of `current` (DESIGN.md §12): an attempt that
+// keeps the running classes, common conjuncts and hull columns touches only
+// j's conjuncts, grouping columns and aggregates; one that changes them
+// re-folds the members under the new frame. Either way the costs are
+// exactly the from-scratch construction's (tests/alg1_reference_test.cpp
+// holds that oracle).
 #ifndef SUBSHARE_CORE_CANDIDATE_GEN_H_
 #define SUBSHARE_CORE_CANDIDATE_GEN_H_
 
@@ -61,6 +69,10 @@ struct GenDiagnostics {
   int sets_pruned_h1 = 0;
   int consumers_pruned_h2 = 0;
   int merges_rejected_h3 = 0;
+  // Times Algorithm 1 re-folded a candidate's members under another
+  // covering frame (running classes, common conjuncts, hull columns); every
+  // other merge attempt touched only the added consumer.
+  int covering_refolds = 0;
   std::vector<std::string> notes;
 };
 
@@ -88,8 +100,9 @@ class CandidateGenerator {
   double NetBenefit(const CseSpec& spec) const;
 
  private:
-  // Estimated rows/width and spool costs for a spec (fills the fields).
-  void CostSpec(CseSpec* spec);
+  // Covering state of a consumer subset (defined in candidate_gen.cc).
+  class Covering;
+
   // Algorithm 1 over one join-compatible set.
   void GenerateForCompatibleSet(const std::vector<SpjgNormalForm>& consumers,
                                 const CompatibleGroup& set,

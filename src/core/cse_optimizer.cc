@@ -451,6 +451,7 @@ ExecutablePlan CseQueryOptimizer::Optimize(
   }
 
   // --- Step 2: detection + candidate generation. ---
+  WallTimer generate_timer;
   CseManager manager(&optimizer_->memo(), ctx_);
   manager.CollectSignatures();
   CandidateGenOptions gen_options;
@@ -462,7 +463,10 @@ ExecutablePlan CseQueryOptimizer::Optimize(
   std::vector<CseSpec> specs = generator.GenerateAll(&m->gen, &m->trace);
   m->sharable_sets = m->gen.sharable_sets;
   m->candidates_generated = static_cast<int>(specs.size());
-  if (specs.empty()) return finish(normal_plan, Bitset64());
+  if (specs.empty()) {
+    m->generate_seconds = generate_timer.ElapsedSeconds();
+    return finish(normal_plan, Bitset64());
+  }
 
   // Heuristic 4: drop candidates contained in another candidate with a
   // (nearly) smaller or equal result.
@@ -518,6 +522,7 @@ ExecutablePlan CseQueryOptimizer::Optimize(
     specs.resize(static_cast<size_t>(cap));
   }
   m->candidates_after_pruning = static_cast<int>(specs.size());
+  m->generate_seconds = generate_timer.ElapsedSeconds();
   if (specs.empty()) return finish(normal_plan, Bitset64());
 
   // --- Step 3: materialize candidates, match consumers, inject, optimize.

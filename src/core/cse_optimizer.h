@@ -97,8 +97,11 @@ struct CseMetrics {
   double normal_cost = 0;             // best plan cost without CSEs
   double final_cost = 0;
   double optimize_seconds = 0;
+  // Step-2 time: signatures, sharable sets, join compatibility, Algorithm 1
+  // with H1–H3, Heuristic 4 and the enumeration cap. Strategy-invariant.
+  double generate_seconds = 0;
   // Step-3 enabled-set search time only (the part the EnumerationStrategy
-  // knob changes); detection + candidate generation are strategy-invariant.
+  // knob changes).
   double enumerate_seconds = 0;
   // (group, context) best-plan computations performed — the work measure
   // that the §5.4 optimization-history reuse keeps low across re-runs.

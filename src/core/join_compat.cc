@@ -5,11 +5,11 @@ namespace subshare {
 bool EquijoinGraphConnected(const EquivalenceClasses& eq,
                             const std::vector<TableId>& tables,
                             const ColumnRegistry& registry) {
-  std::set<int> nodes(tables.begin(), tables.end());
-  return eq.ConnectsNodes(nodes, [&registry](ColId c) {
-    const ColumnInfo& info = registry.info(c);
-    return info.table_id >= 0 ? static_cast<int>(info.table_id) : -1;
-  });
+  return eq.ConnectsNodes(
+      std::vector<int>(tables.begin(), tables.end()), [&registry](ColId c) {
+        const TableId t = registry.info(c).table_id;
+        return t >= 0 ? static_cast<int>(t) : -1;
+      });
 }
 
 bool JoinCompatible(const SpjgNormalForm& a, const SpjgNormalForm& b,

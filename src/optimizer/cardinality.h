@@ -23,13 +23,16 @@ class CardinalityEstimator {
   // `input_rows` (used for scans, filters, and join predicates).
   double Selectivity(const std::vector<ExprPtr>& conjuncts);
 
+  // Selectivity of one conjunct; Selectivity() is the product of these in
+  // order (clamped), so callers may cache per-conjunct factors.
+  double ConjunctSelectivity(const ExprPtr& conjunct);
+
   // Estimated distinct values of a column (base-table NDV where known,
   // otherwise `fallback`).
   double ColumnNdv(ColId col, double fallback);
 
  private:
   double EstimateExpr(const GroupExpr& expr);
-  double ConjunctSelectivity(const ExprPtr& conjunct);
 
   Memo* memo_;
 };

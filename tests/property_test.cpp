@@ -5,9 +5,15 @@
 //   2. Covering-hull soundness: the §4.2 range hull retains every row any
 //      consumer retains.
 //   3. Figure-2 signature rules on randomly generated SPJG trees.
+//   4. The flat EquivalenceClasses agree with a std::map union-find on
+//      random equality sets, and Intersect is commutative, associative and
+//      idempotent (the incremental Algorithm-1 covering state relies on it).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <map>
+#include <set>
 
 #include "core/signature.h"
 #include "expr/evaluator.h"
@@ -142,6 +148,186 @@ TEST_P(HullPropertyTest, HullCoversEveryConsumerRange) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HullPropertyTest,
+                         ::testing::Range<uint64_t>(0, 6));
+
+// ---- Equivalence classes vs. a std::map union-find ----
+
+// The reference: a plain union-find over a std::map, classes materialized
+// on demand.
+class MapUnionFind {
+ public:
+  void Add(ColId a, ColId b) {
+    if (a == b) return;
+    parent_.emplace(a, a);
+    parent_.emplace(b, b);
+    ColId ra = Find(a), rb = Find(b);
+    if (ra != rb) parent_[std::max(ra, rb)] = std::min(ra, rb);
+  }
+  ColId Find(ColId c) const {
+    auto it = parent_.find(c);
+    while (it != parent_.end() && it->second != c) {
+      c = it->second;
+      it = parent_.find(c);
+    }
+    return c;
+  }
+  bool Equivalent(ColId a, ColId b) const {
+    return a == b || (parent_.count(a) > 0 && Find(a) == Find(b));
+  }
+  std::vector<std::vector<ColId>> Classes() const {
+    std::map<ColId, std::vector<ColId>> by_root;
+    for (const auto& [c, p] : parent_) by_root[Find(c)].push_back(c);
+    std::vector<std::vector<ColId>> out;
+    for (auto& [root, members] : by_root) {
+      if (members.size() >= 2) out.push_back(members);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+ private:
+  std::map<ColId, ColId> parent_;
+};
+
+constexpr ColId kMaxCol = 11;
+
+struct RandomEqualities {
+  std::vector<std::pair<ColId, ColId>> pairs;
+  EquivalenceClasses flat;
+  MapUnionFind ref;
+};
+
+RandomEqualities MakeEqualities(Rng* rng) {
+  RandomEqualities out;
+  int n = static_cast<int>(rng->Uniform(0, 9));
+  for (int i = 0; i < n; ++i) {
+    ColId a = static_cast<ColId>(rng->Uniform(0, kMaxCol));
+    ColId b = static_cast<ColId>(rng->Uniform(0, kMaxCol));
+    out.pairs.emplace_back(a, b);
+    out.flat.AddEquality(a, b);
+    out.ref.Add(a, b);
+  }
+  return out;
+}
+
+MapUnionFind RefIntersect(const MapUnionFind& a, const MapUnionFind& b) {
+  MapUnionFind out;
+  for (const std::vector<ColId>& ca : a.Classes()) {
+    for (const std::vector<ColId>& cb : b.Classes()) {
+      std::vector<ColId> common;
+      std::set_intersection(ca.begin(), ca.end(), cb.begin(), cb.end(),
+                            std::back_inserter(common));
+      for (size_t i = 1; i < common.size(); ++i) out.Add(common[0], common[i]);
+    }
+  }
+  return out;
+}
+
+// Nodes connected by the reference classes' equijoin graph (flood fill).
+bool RefConnects(const MapUnionFind& ref, const std::vector<int>& nodes,
+                 int (*node_of)(ColId)) {
+  if (nodes.size() <= 1) return true;
+  std::set<int> reached = {nodes[0]};
+  bool grew = true;
+  while (grew) {
+    grew = false;
+    for (const std::vector<ColId>& cls : ref.Classes()) {
+      bool touches = false;
+      for (ColId c : cls) touches |= reached.count(node_of(c)) > 0;
+      if (!touches) continue;
+      for (ColId c : cls) {
+        int n = node_of(c);
+        if (n >= 0 && std::count(nodes.begin(), nodes.end(), n) > 0 &&
+            reached.insert(n).second) {
+          grew = true;
+        }
+      }
+    }
+  }
+  for (int n : nodes) {
+    if (reached.count(n) == 0) return false;
+  }
+  return true;
+}
+
+int NodeOf(ColId c) { return c >= 10 ? -1 : c % 4; }
+
+void ExpectMatchesReference(const EquivalenceClasses& flat,
+                            const MapUnionFind& ref) {
+  ASSERT_EQ(flat.Classes(), ref.Classes());
+  EXPECT_EQ(flat.empty(), ref.Classes().empty());
+  for (ColId a = 0; a <= kMaxCol + 1; ++a) {
+    for (ColId b = 0; b <= kMaxCol + 1; ++b) {
+      ASSERT_EQ(flat.AreEquivalent(a, b), ref.Equivalent(a, b))
+          << a << " ~ " << b;
+    }
+  }
+  // ToConjuncts chains each sorted class: k-1 equalities per class.
+  std::vector<std::pair<ColId, ColId>> want, got;
+  for (const std::vector<ColId>& cls : ref.Classes()) {
+    for (size_t i = 1; i < cls.size(); ++i) want.emplace_back(cls[i - 1], cls[i]);
+  }
+  for (const ExprPtr& e :
+       flat.ToConjuncts([](ColId) { return DataType::kInt64; })) {
+    ColId a, b;
+    ASSERT_TRUE(IsColumnEquality(e, &a, &b));
+    got.emplace_back(a, b);
+  }
+  EXPECT_EQ(got, want);
+}
+
+class EquivalencePropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(EquivalencePropertyTest, FlatClassesMatchMapUnionFind) {
+  Rng rng(GetParam() * 6151 + 5);
+  for (int round = 0; round < 200; ++round) {
+    RandomEqualities a = MakeEqualities(&rng);
+    ExpectMatchesReference(a.flat, a.ref);
+
+    // Canonical: any insertion order (and FromConjuncts) gives an equal
+    // object.
+    std::vector<std::pair<ColId, ColId>> shuffled = a.pairs;
+    std::reverse(shuffled.begin(), shuffled.end());
+    EquivalenceClasses reordered;
+    std::vector<ExprPtr> conjuncts;
+    for (const auto& [x, y] : shuffled) {
+      reordered.AddEquality(y, x);
+      conjuncts.push_back(Expr::Compare(CmpOp::kEq, Col(x), Col(y)));
+    }
+    EXPECT_TRUE(reordered == a.flat);
+    EXPECT_TRUE(EquivalenceClasses::FromConjuncts(conjuncts) == a.flat);
+
+    // Definition 4.1 connectivity over random node subsets.
+    std::vector<int> nodes;
+    for (int n = 0; n < 4; ++n) {
+      if (rng.Uniform(0, 2) > 0) nodes.push_back(n);
+    }
+    EXPECT_EQ(a.flat.ConnectsNodes(nodes, NodeOf),
+              RefConnects(a.ref, nodes, NodeOf));
+  }
+}
+
+TEST_P(EquivalencePropertyTest, IntersectIsAMeet) {
+  Rng rng(GetParam() * 7753 + 11);
+  for (int round = 0; round < 200; ++round) {
+    RandomEqualities a = MakeEqualities(&rng);
+    RandomEqualities b = MakeEqualities(&rng);
+    RandomEqualities c = MakeEqualities(&rng);
+    using EC = EquivalenceClasses;
+    const EC ab = EC::Intersect(a.flat, b.flat);
+    ExpectMatchesReference(ab, RefIntersect(a.ref, b.ref));
+    EXPECT_TRUE(ab == EC::Intersect(b.flat, a.flat));
+    EXPECT_TRUE(EC::Intersect(ab, c.flat) ==
+                EC::Intersect(a.flat, EC::Intersect(b.flat, c.flat)));
+    EXPECT_TRUE(EC::Intersect(a.flat, a.flat) == a.flat);
+    EXPECT_TRUE(EC::Intersect(a.flat, EC()).empty());
+    EXPECT_EQ(a.flat.ImpliedBy(b.flat), ab == a.flat);
+    EXPECT_TRUE(ab.ImpliedBy(a.flat));
+    EXPECT_TRUE(ab.ImpliedBy(b.flat));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EquivalencePropertyTest,
                          ::testing::Range<uint64_t>(0, 6));
 
 // ---- Figure 2 signature rules over randomized SPJG queries ----
