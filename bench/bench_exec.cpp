@@ -2,11 +2,11 @@
 // TPC-H pipelines, plus an index point-lookup A/B (implicit-B-tree vs.
 // binary search), tracking the perf trajectory across PRs.
 //
-// Emits BENCH_exec.json (schema_version 2):
-//   {"bench":"exec","schema_version":2,"scale_factor":...,
+// Emits BENCH_exec.json (schema_version 3):
+//   {"bench":"exec","schema_version":3,"scale_factor":...,
 //    "batch_capacity":1024,
 //    "pipelines":[{"name":...,"row_ms":...,"batch_ms":...,"speedup":...,
-//                  "rows_out":...}, ...],
+//                  "hashagg_self_ms":...,"rows_out":...}, ...],
 //    "index_lookup":{...}}
 // and appends the same object as one line to BENCH_exec_history.jsonl
 // (append-safe: one self-contained JSON object per run, stamped with the
@@ -33,6 +33,9 @@ struct PipelineResult {
   std::string name;
   double row_ms = 0;
   double batch_ms = 0;
+  // Exclusive HashAgg time in batch mode: its inclusive Open+Next time
+  // minus its children's (a fused scan's filtering counts as HashAgg's).
+  double hashagg_self_ms = 0;
   int64_t rows_out = 0;
   // CSE spool footprint (batch run): true columnar bytes vs. what the same
   // spools would have cost in the pre-columnar row model. Zero when the
@@ -77,6 +80,44 @@ double BestMillis(Database* db, const std::string& sql, bool enable_cse,
   return best;
 }
 
+// Exclusive wall ms of every `op` operator: inclusive Open+Next time minus
+// that of its direct children (operators are listed in pre-order with their
+// depth).
+double SelfMillis(const ExecutionMetrics& m, const std::string& op) {
+  const std::vector<OperatorMetrics>& ops = m.operators;
+  int64_t self_ns = 0;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    if (ops[i].op != op) continue;
+    int64_t ns = ops[i].open_ns + ops[i].next_ns;
+    for (size_t j = i + 1; j < ops.size() && ops[j].phase == ops[i].phase &&
+                           ops[j].depth > ops[i].depth;
+         ++j) {
+      if (ops[j].depth == ops[i].depth + 1) {
+        ns -= ops[j].open_ns + ops[j].next_ns;
+      }
+    }
+    self_ns += std::max<int64_t>(0, ns);
+  }
+  return static_cast<double>(self_ns) / 1e6;
+}
+
+// Best-of-N exclusive HashAgg ms under batch execution with per-operator
+// timing on (the throughput runs above keep it off).
+double BestHashAggSelfMillis(Database* db, const std::string& sql,
+                             bool enable_cse, int repeats) {
+  QueryOptions options;
+  options.cse.enable_cse = enable_cse;
+  options.cse.optimizer.enable_index_scans = false;
+  double best = 0;
+  for (int i = 0; i < repeats; ++i) {
+    StatusOr<QueryResult> result = db->Execute(sql, options);
+    CHECK(result.ok()) << result.status().ToString();
+    double ms = SelfMillis(result->execution, "HashAgg");
+    if (i == 0 || ms < best) best = ms;
+  }
+  return best;
+}
+
 PipelineResult RunPipeline(Database* db, const std::string& name,
                            const std::string& sql, bool enable_cse,
                            int repeats = 5) {
@@ -95,15 +136,16 @@ PipelineResult RunPipeline(Database* db, const std::string& name,
   }
   CHECK(ResultSet(row_result) == ResultSet(batch_result))
       << "row/batch result mismatch on " << name;
+  r.hashagg_self_ms = BestHashAggSelfMillis(db, sql, enable_cse, repeats);
   for (const StatementResult& stmt : batch_result.statements) {
     r.rows_out += static_cast<int64_t>(stmt.rows.size());
   }
   r.spool_bytes = batch_result.execution.spool_bytes;
   r.spool_bytes_row_model = batch_result.execution.spool_bytes_row_model;
   std::printf("%-18s row %8.2f ms   batch %8.2f ms   speedup %.2fx   "
-              "(%lld result rows)\n",
+              "hashagg self %6.2f ms   (%lld result rows)\n",
               name.c_str(), r.row_ms, r.batch_ms, r.speedup(),
-              static_cast<long long>(r.rows_out));
+              r.hashagg_self_ms, static_cast<long long>(r.rows_out));
   if (r.spool_bytes > 0) {
     std::printf("%-18s spool footprint %lld bytes columnar vs %lld "
                 "row-model (%.2fx smaller)\n",
@@ -269,7 +311,7 @@ int Main() {
   // (latest run, overwritten) and appended to BENCH_exec_history.jsonl
   // (one line per run, the cross-PR trajectory).
   std::string json = StrFormat(
-      "{\"bench\":\"exec\",\"schema_version\":2,\"timestamp\":%lld,"
+      "{\"bench\":\"exec\",\"schema_version\":3,\"timestamp\":%lld,"
       "\"scale_factor\":%g,\"batch_capacity\":%d,\"pipelines\":[",
       static_cast<long long>(std::time(nullptr)), sf,
       RowBatch::kDefaultCapacity);
@@ -277,10 +319,10 @@ int Main() {
     const PipelineResult& p = pipelines[i];
     json += StrFormat(
         "%s{\"name\":\"%s\",\"row_ms\":%.3f,\"batch_ms\":%.3f,"
-        "\"speedup\":%.3f,\"rows_out\":%lld,"
+        "\"speedup\":%.3f,\"hashagg_self_ms\":%.3f,\"rows_out\":%lld,"
         "\"spool_bytes\":%lld,\"spool_bytes_row_model\":%lld}",
         i == 0 ? "" : ",", p.name.c_str(), p.row_ms, p.batch_ms,
-        p.speedup(), static_cast<long long>(p.rows_out),
+        p.speedup(), p.hashagg_self_ms, static_cast<long long>(p.rows_out),
         static_cast<long long>(p.spool_bytes),
         static_cast<long long>(p.spool_bytes_row_model));
   }

@@ -35,6 +35,16 @@ StatusOr<QueryResult> Database::Execute(const std::string& sql,
   return ExecuteWith(sql, options, plan_cache_.get(), result_cache_.get());
 }
 
+cache::BatchFingerprint Database::PlanCacheKey(
+    const std::vector<sql::AstSelectPtr>& batch, const QueryOptions& options) {
+  cache::BatchFingerprint fp = cache::FingerprintBatch(batch);
+  // The enumeration strategy changes which CSE set (and thus which plan)
+  // is chosen, so plans cached under one strategy must not serve another.
+  fp.text += StrFormat(";;cse=%d;;strat=%s", options.cse.enable_cse ? 1 : 0,
+                       EnumerationStrategyName(options.cse.strategy));
+  return fp;
+}
+
 StatusOr<QueryResult> Database::ExecuteWith(const std::string& sql,
                                             const QueryOptions& options,
                                             cache::PlanCache* plan_cache,
@@ -60,16 +70,9 @@ StatusOr<QueryResult> Database::ExecuteWith(const std::string& sql,
 
   // Fingerprint before binding: assigns each parameterized literal its slot
   // in place, which the binder threads into Expr literals so an admitted
-  // plan can later be rebound. The fingerprint text is the plan-cache key;
-  // optimizer settings that change plan choice are folded into it.
+  // plan can later be rebound.
   cache::BatchFingerprint fp;
-  if (use_plan_cache) {
-    fp = cache::FingerprintBatch(asts);
-    // The enumeration strategy changes which CSE set (and thus which plan)
-    // is chosen, so plans cached under one strategy must not serve another.
-    fp.text += StrFormat(";;cse=%d;;strat=%s", options.cse.enable_cse ? 1 : 0,
-                         EnumerationStrategyName(options.cse.strategy));
-  }
+  if (use_plan_cache) fp = PlanCacheKey(asts, options);
 
   ExecutablePlan plan;
   bool have_plan = false;

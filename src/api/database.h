@@ -107,6 +107,12 @@ class Database {
                                     cache::PlanCache* plan_cache,
                                     cache::ResultCache* result_cache);
 
+  // The plan-cache key of `batch` under `options`: its fingerprint (which
+  // assigns each parameterized literal its slot in place) plus the
+  // optimizer settings that change plan choice.
+  static cache::BatchFingerprint PlanCacheKey(
+      const std::vector<sql::AstSelectPtr>& batch, const QueryOptions& options);
+
   // Renders a result table ("col | col | ..." plus rows) for examples.
   static std::string FormatResult(const StatementResult& result,
                                   const std::vector<std::string>& columns,

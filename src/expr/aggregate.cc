@@ -39,48 +39,4 @@ AggFn ReaggregateFn(AggFn fn) {
   return AggFn::kSum;
 }
 
-void AggAccumulator::Update(const Value& v) {
-  if (v.is_null()) return;
-  switch (fn_) {
-    case AggFn::kCount:
-      ++count_;
-      break;
-    case AggFn::kSum:
-      if (v.type() == DataType::kDouble) {
-        integral_ = false;
-      } else {
-        sum_i_ += v.AsInt64();
-      }
-      sum_ += v.AsDouble();
-      seen_ = true;
-      break;
-    case AggFn::kMin:
-      if (!seen_ || v.Compare(extreme_) < 0) extreme_ = v;
-      seen_ = true;
-      break;
-    case AggFn::kMax:
-      if (!seen_ || v.Compare(extreme_) > 0) extreme_ = v;
-      seen_ = true;
-      break;
-  }
-}
-
-Value AggAccumulator::Final(DataType result_type) const {
-  switch (fn_) {
-    case AggFn::kCount:
-      return Value::Int64(count_);
-    case AggFn::kSum:
-      if (!seen_) return Value::Null(result_type);
-      if (result_type == DataType::kInt64 && integral_) {
-        return Value::Int64(sum_i_);
-      }
-      return Value::Double(sum_);
-    case AggFn::kMin:
-    case AggFn::kMax:
-      if (!seen_) return Value::Null(result_type);
-      return extreme_;
-  }
-  return Value::Null(result_type);
-}
-
 }  // namespace subshare

@@ -1,4 +1,4 @@
-// Aggregate function descriptors and runtime accumulators.
+// Aggregate function descriptors.
 //
 // AVG is lowered to SUM/COUNT by the SQL binder, so only decomposable
 // aggregates reach the optimizer. Decomposability is what makes both the
@@ -32,28 +32,6 @@ DataType AggResultType(AggFn fn, DataType arg_type);
 // The aggregate that combines partial results of `fn` (SUM for SUM/COUNT,
 // MIN for MIN, MAX for MAX).
 AggFn ReaggregateFn(AggFn fn);
-
-// Streaming accumulator for one aggregate over one group.
-class AggAccumulator {
- public:
-  explicit AggAccumulator(AggFn fn) : fn_(fn) {}
-
-  // Feeds one input value (ignored if null, except COUNT(*) which is fed
-  // a non-null placeholder by the operator).
-  void Update(const Value& v);
-
-  // Final value; COUNT of nothing is 0, others are NULL.
-  Value Final(DataType result_type) const;
-
- private:
-  AggFn fn_;
-  bool seen_ = false;
-  double sum_ = 0;
-  int64_t sum_i_ = 0;
-  bool integral_ = true;
-  int64_t count_ = 0;
-  Value extreme_;
-};
 
 }  // namespace subshare
 

@@ -438,10 +438,25 @@ Optimizer::ImplementResult Optimizer::ImplementExpr(GroupId g,
     }
 
     case LogicalOpKind::kFilter: {
+      double child_card = cards_.GroupCardinality(expr.children[0]);
+      const double cost = children_cost + CostModel::Filter(child_card);
+      // A CSE consumer's compensation filter folds into its spool scan, so
+      // the scan's parent (typically the re-aggregation) can consume the
+      // work table in place. Same estimates as the Filter node it replaces:
+      // plan choice does not see the fold.
+      const PhysicalNode& child = *children[0];
+      if (child.kind == PhysOpKind::kSpoolScan && child.filter == nullptr) {
+        auto scan = std::make_shared<PhysicalNode>(child);
+        scan->output = out_layout;
+        scan->filter = CombineConjuncts(expr.op.conjuncts);
+        scan->est_rows = card;
+        scan->est_cost = cost;
+        result.plans.push_back(std::move(scan));
+        return result;
+      }
       PhysicalNodePtr filter = new_node(PhysOpKind::kFilter);
       filter->filter = CombineConjuncts(expr.op.conjuncts);
-      double child_card = cards_.GroupCardinality(expr.children[0]);
-      filter->est_cost = children_cost + CostModel::Filter(child_card);
+      filter->est_cost = cost;
       result.plans.push_back(std::move(filter));
       return result;
     }

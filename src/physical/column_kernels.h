@@ -60,7 +60,7 @@ class CompiledPredicate {
       kColColInt,     // int-family column vs int-family column, exact
       kColColDouble,  // numeric column vs numeric column, as doubles
     };
-    Kind kind;
+    Kind kind = kFalse;
     int col = -1;
     int col2 = -1;           // kColCol*
     CmpOp op = CmpOp::kEq;

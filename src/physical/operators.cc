@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <unordered_map>
 
 #include "physical/column_kernels.h"
@@ -74,9 +75,19 @@ struct RowKeyRef {
   size_t hash;
 };
 
+// Key equality: Value::Compare semantics, except that nulls equal each other.
+// Same-type cells (every key column in practice) compare inline.
 bool KeyValueEq(const Value& a, const Value& b) {
-  if (a.is_null() != b.is_null()) return false;
-  return a.is_null() || a.Compare(b) == 0;
+  if (a.is_null() || b.is_null()) return a.is_null() == b.is_null();
+  if (a.type() != b.type()) return a.Compare(b) == 0;
+  switch (a.type()) {
+    case DataType::kString:
+      return a.AsString() == b.AsString();
+    case DataType::kDouble:
+      return a.AsDouble() == b.AsDouble();
+    default:
+      return a.AsInt64() == b.AsInt64();
+  }
 }
 
 struct RowKeyHash {
@@ -125,12 +136,15 @@ bool HasNullAt(const Row& row, const std::vector<int>& idx) {
   return false;
 }
 
-// Open-addressed hash table over one uint64 join key: maps key -> chain of
-// build-row indexes (power-of-two capacity, linear probing). The batch
-// engine's probe table for equi-joins: the int fast path stores the exact
-// int64 key bits (chains are per-key), the generic path stores the RowKey
-// hash (chains may interleave hash-colliding keys; callers filter at emit).
-// Building and probing do no per-row allocation, unlike the RowKey map.
+// Open-addressed hash table over one uint64 key: maps key -> chain of ids
+// (power-of-two capacity, linear probing). The executor's one hash table.
+// As the batch engine's equi-join probe table the ids are build-row indexes:
+// the int fast path stores the exact int64 key bits (chains are per-key),
+// the generic path stores the RowKey hash (chains may interleave
+// hash-colliding keys; callers filter at emit). As the hash aggregation's
+// group table (ResetGroups / FindOrInsert) the ids are group ids, keyed the
+// same two ways. Building and probing do no per-row allocation, unlike the
+// RowKey map.
 //
 // Probes run per window through FindBatch (DESIGN.md §11): with prefetch
 // enabled it is an AMAC-style state machine — up to kInFlight lookups in
@@ -146,6 +160,7 @@ struct ChainTable {
   std::vector<Slot> slots;
   std::vector<int32_t> next;  // build row -> next row with the same slot key
   size_t mask = 0;
+  size_t used_slots = 0;  // occupied slots (grouping use only)
 
   static constexpr int kInFlight = 8;        // AMAC probe states per window
   static constexpr int kBuildLookahead = 8;  // build-side prefetch distance
@@ -188,6 +203,54 @@ struct ChainTable {
       s = (s + 1) & mask;
     }
     return -1;
+  }
+
+  // Grouping use (hash aggregation): the table maps key -> chain of group
+  // ids and grows as groups are inserted. Empties the table.
+  void ResetGroups() {
+    mask = 15;
+    slots.assign(mask + 1, Slot());
+    next.clear();
+    used_slots = 0;
+  }
+
+  // Returns the id chained under `k` for which same(id) holds; otherwise
+  // chains `fresh` under `k` and returns it (the caller then creates group
+  // `fresh`). Exact-key callers pass a `same` that is always true; hash-key
+  // callers check the group's key, and colliding keys share a chain.
+  template <typename SameKey>
+  int32_t FindOrInsert(uint64_t k, int32_t fresh, const SameKey& same) {
+    size_t s = Mix(k) & mask;
+    while (slots[s].head >= 0 && slots[s].key != k) s = (s + 1) & mask;
+    if (slots[s].head >= 0) {
+      for (int32_t id = slots[s].head; id >= 0;
+           id = next[static_cast<size_t>(id)]) {
+        if (same(id)) return id;
+      }
+    }
+    if (next.size() <= static_cast<size_t>(fresh)) {
+      next.resize(static_cast<size_t>(fresh) + 1, -1);
+    }
+    const bool new_slot = slots[s].head < 0;
+    slots[s].key = k;
+    next[static_cast<size_t>(fresh)] = slots[s].head;
+    slots[s].head = fresh;
+    if (new_slot && ++used_slots * 2 > mask) Grow();
+    return fresh;
+  }
+
+  // Doubles the slot array, re-placing every occupied slot (chains are
+  // indexed by id and survive unchanged).
+  void Grow() {
+    std::vector<Slot> old = std::move(slots);
+    mask = old.size() * 2 - 1;
+    slots.assign(mask + 1, Slot());
+    for (const Slot& o : old) {
+      if (o.head < 0) continue;
+      size_t s = Mix(o.key) & mask;
+      while (slots[s].head >= 0) s = (s + 1) & mask;
+      slots[s] = o;
+    }
   }
 
   // Resolves the chain head for each of keys[0, n) into heads[0, n).
@@ -1229,6 +1292,172 @@ class IndexNlJoinOp : public Operator {
 
 // ----------------------------------------------------------- aggregation ---
 
+// Two's-complement addition: an integral SUM that overflows wraps instead of
+// being undefined.
+int64_t WrapAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+
+// One aggregate's per-group state, in flat arrays indexed by group id.
+// Results are exactly those of the reference accumulator the tests check
+// against (tests/agg_reference.h): `count` counts non-null inputs (the
+// COUNT value, and "seen" for the others); SUM keeps the int64 sum of
+// integer-family inputs beside the double sum of every input in arrival
+// order and returns the int64 one for an integral result; MIN/MAX keep the
+// first extreme seen — as a row id into the fused input column (`ext_row`;
+// Column::Get rebuilds the value with its type) or as a Value.
+struct AggState {
+  AggFn fn = AggFn::kCount;
+  DataType result_type = DataType::kInt64;
+  bool count_star = false;  // COUNT(*): every input row counts
+  bool typed = false;       // fused: updated straight from column `col`
+  int col = -1;             // plain-column argument's input index, else -1
+  ExprPtr expr;             // general argument (bound), when col < 0
+  std::vector<int64_t> count;
+  std::vector<int64_t> isum;
+  std::vector<double> dsum;
+  std::vector<uint8_t> non_integral;  // SUM saw a double input
+  std::vector<int32_t> ext_row;       // MIN/MAX, typed input
+  std::vector<Value> ext;             // MIN/MAX, Value input
+
+  // Whether a fused column of `type` can feed `fn` without Values.
+  static bool TypedInput(AggFn fn, DataType type) {
+    return type != DataType::kString || fn != AggFn::kSum;
+  }
+
+  void AddGroup() {
+    count.push_back(0);
+    if (fn == AggFn::kSum) {
+      isum.push_back(0);
+      dsum.push_back(0);
+      non_integral.push_back(0);
+    } else if (fn != AggFn::kCount) {
+      if (typed) {
+        ext_row.push_back(-1);
+      } else {
+        ext.emplace_back();
+      }
+    }
+  }
+
+  void Update(int32_t g, const Value& v) {
+    if (v.is_null()) return;
+    const bool first = count[g]++ == 0;
+    switch (fn) {
+      case AggFn::kCount:
+        break;
+      case AggFn::kSum:
+        if (v.type() == DataType::kDouble) {
+          non_integral[g] = 1;
+        } else {
+          isum[g] = WrapAdd(isum[g], v.AsInt64());
+        }
+        dsum[g] += v.AsDouble();
+        break;
+      case AggFn::kMin:
+        if (first || v.Compare(ext[g]) < 0) ext[g] = v;
+        break;
+      case AggFn::kMax:
+        if (first || v.Compare(ext[g]) > 0) ext[g] = v;
+        break;
+    }
+  }
+
+  // Updates groups gid[0..n) from rows sel[0..n) of column `c`.
+  void UpdateColumn(const Column& c, const int32_t* sel, const int32_t* gid,
+                    int n) {
+    const NullBitmap& nulls = c.nulls();
+    const bool has_nulls = nulls.any();
+    // Calls f(group, row) for every non-null input in arrival order.
+    auto each = [&](auto f) {
+      for (int i = 0; i < n; ++i) {
+        if (has_nulls && nulls.Test(sel[i])) continue;
+        f(gid[i], sel[i]);
+      }
+    };
+    switch (fn) {
+      case AggFn::kCount:
+        each([&](int32_t g, int32_t) { ++count[g]; });
+        return;
+      case AggFn::kSum:
+        if (c.type() == DataType::kDouble) {
+          const double* v = c.doubles();
+          each([&](int32_t g, int32_t r) {
+            ++count[g];
+            non_integral[g] = 1;
+            dsum[g] += v[r];
+          });
+        } else {
+          const int64_t* v = c.ints();
+          each([&](int32_t g, int32_t r) {
+            ++count[g];
+            isum[g] = WrapAdd(isum[g], v[r]);
+            dsum[g] += static_cast<double>(v[r]);
+          });
+        }
+        return;
+      case AggFn::kMin:
+      case AggFn::kMax:
+        break;
+    }
+    const bool min = fn == AggFn::kMin;
+    // Replaces the extreme only on a strict improvement: ties keep the
+    // first row seen, as Value::Compare-based accumulation does.
+    auto extreme = [&](auto better) {
+      each([&](int32_t g, int32_t r) {
+        if (count[g]++ == 0 || better(r, ext_row[g])) ext_row[g] = r;
+      });
+    };
+    if (c.type() == DataType::kDouble) {
+      const double* v = c.doubles();
+      extreme([&](int32_t a, int32_t b) {
+        return min ? v[a] < v[b] : v[a] > v[b];
+      });
+    } else if (c.type() == DataType::kString) {
+      const int32_t* codes = c.codes();
+      const StringDictionary& dict = c.dict();
+      extreme([&](int32_t a, int32_t b) {
+        if (codes[a] == codes[b]) return false;
+        int cmp = dict.value(codes[a]).compare(dict.value(codes[b]));
+        return min ? cmp < 0 : cmp > 0;
+      });
+    } else {
+      const int64_t* v = c.ints();
+      extreme([&](int32_t a, int32_t b) {
+        return min ? v[a] < v[b] : v[a] > v[b];
+      });
+    }
+  }
+
+  // Final value of group g; `c` is the input column when typed.
+  Value Final(int32_t g, const Column* c) const {
+    if (fn == AggFn::kCount) return Value::Int64(count[g]);
+    if (count[g] == 0) return Value::Null(result_type);
+    if (fn == AggFn::kSum) {
+      if (result_type == DataType::kInt64 && !non_integral[g]) {
+        return Value::Int64(isum[g]);
+      }
+      return Value::Double(dsum[g]);
+    }
+    return typed ? c->Get(ext_row[g]) : ext[g];
+  }
+};
+
+// Hash aggregation over flat group ids. Groups are numbered 0..n-1 in
+// first-seen order, which is also the output order; a ChainTable resolves
+// each input row's group id — exact int64 bits or dictionary codes for a
+// single integer-family or string key of a fused scan, the key hash plus a
+// key check otherwise (multi-column and double keys, Value input). Null keys
+// group together. Aggregates accumulate into AggState's typed arrays.
+//
+// In batch mode over a scan (ScanSource) the aggregation fuses with it: each
+// window of the backing columns is filtered through the scan's compiled
+// kernels, the survivors' group ids are resolved in one pass, and
+// plain-column aggregates update straight from the column spans; a group's
+// key is the row id of its first row. Other input (join output in row
+// batches, row mode) feeds the same table and states through Values, and a
+// group's key is its first row's key Values.
 class HashAggOp : public Operator {
  public:
   HashAggOp(const PhysicalNode& node, ExecContext* ctx)
@@ -1236,156 +1465,305 @@ class HashAggOp : public Operator {
 
   void OpenImpl() override {
     child_->Open();
-    // Scan fusion: accumulate straight off the child scan's backing columns
-    // (batch mode only). Group keys and aggregate arguments then bind
-    // against a narrow layout holding only the columns the aggregation
-    // reads; FusedAccumulate gathers exactly those per surviving row, so
-    // unused columns of a wide table are never touched.
-    ScanSource* fused =
-        ctx_->mode == ExecMode::kBatch ? child_->AsScanSource() : nullptr;
-    if (fused != nullptr) fused->stats->fused = true;
-    Layout narrow_layout;
-    narrow_map_.clear();
-    if (fused != nullptr) {
-      std::set<ColId> needed(node_.group_cols.begin(), node_.group_cols.end());
-      for (const AggregateItem& a : node_.aggs) CollectColumns(a.arg, &needed);
-      std::vector<ColId> cols;
-      for (ColId c : needed) {
-        int idx = fused->storage.IndexOf(c);
-        CHECK(idx >= 0) << "agg input column missing from scan storage";
-        cols.push_back(c);
-        narrow_map_.push_back(idx);
-      }
-      narrow_layout = Layout(std::move(cols));
-    }
-    const Layout& child_layout =
-        fused != nullptr ? narrow_layout : node_.children[0]->output;
+    fused_ = ctx_->mode == ExecMode::kBatch ? child_->AsScanSource() : nullptr;
+    if (fused_ != nullptr) fused_->stats->fused = true;
+    const Layout& input =
+        fused_ != nullptr ? fused_->storage : node_.children[0]->output;
     group_idx_.clear();
     for (ColId c : node_.group_cols) {
-      int idx = child_layout.IndexOf(c);
+      int idx = input.IndexOf(c);
       CHECK(idx >= 0) << "group column missing";
       group_idx_.push_back(idx);
     }
-    bound_args_.clear();
-    arg_idx_.clear();
-    for (const AggregateItem& a : node_.aggs) {
-      bound_args_.push_back(a.arg ? BindExpr(a.arg, child_layout) : nullptr);
-      // Plain column arguments (the common case) are read straight from the
-      // row, skipping the EvalExpr dispatch and its by-value return.
-      const ExprPtr& b = bound_args_.back();
-      arg_idx_.push_back(b != nullptr && b->kind == ExprKind::kBoundColumn
-                             ? b->bound_index
-                             : -1);
-    }
+    int_key_ = fused_ != nullptr && group_idx_.size() == 1 &&
+               fused_->store->column(group_idx_[0]).type() != DataType::kDouble;
+    BindAggregates(input);
     // Result layout: group cols then agg outputs.
     std::vector<ColId> natural = node_.group_cols;
     for (const AggregateItem& a : node_.aggs) natural.push_back(a.output);
     map_ = MappingTo(Layout(natural), node_.output);
 
-    // Aggregate everything up front.
-    RowKeyMap<std::vector<AggAccumulator>> groups;
-    if (fused != nullptr) {
-      FusedAccumulate(fused, &groups);
+    table_.ResetGroups();
+    num_groups_ = 0;
+    null_group_ = -1;
+    first_row_.clear();
+    group_keys_.clear();
+    // A scalar aggregate is one group from the start, so empty input still
+    // yields its one row.
+    if (group_idx_.empty()) NewGroup(-1);
+    if (fused_ != nullptr) {
+      AccumulateFused();
     } else if (ctx_->mode == ExecMode::kBatch) {
       RowBatch batch;
       while (child_->NextBatch(&batch)) {
-        for (int i = 0; i < batch.size(); ++i) Accumulate(batch.row(i), &groups);
+        AccumulateRows(&batch.row(0), batch.size());
       }
     } else {
       Row row;
-      while (child_->Next(&row)) Accumulate(row, &groups);
-    }
-    results_.clear();
-    // Scalar aggregation (no group cols) over empty input yields one row.
-    if (groups.empty() && node_.group_cols.empty()) {
-      Row out_row;
-      for (const AggregateItem& a : node_.aggs) {
-        AggAccumulator acc(a.fn);
-        out_row.push_back(acc.Final(ResultType(a)));
-      }
-      results_.push_back(ApplyMapping(out_row, map_));
-    }
-    for (auto& [key, accs] : groups) {
-      Row natural_row = key.values;
-      for (size_t i = 0; i < accs.size(); ++i) {
-        natural_row.push_back(accs[i].Final(ResultType(node_.aggs[i])));
-      }
-      results_.push_back(ApplyMapping(natural_row, map_));
+      while (child_->Next(&row)) AccumulateRows(&row, 1);
     }
     cursor_ = 0;
   }
 
+  // Groups are emitted in id order straight from the aggregation state.
   bool NextImpl(Row* out) override {
-    if (cursor_ >= results_.size()) return false;
-    *out = results_[cursor_++];
+    if (cursor_ >= num_groups_) return false;
+    EmitGroup(cursor_++, out);
     return true;
   }
 
   bool NextBatchImpl(RowBatch* out) override {
-    while (!out->full() && cursor_ < results_.size()) {
-      out->AppendMove(std::move(results_[cursor_++]));
+    while (!out->full() && cursor_ < num_groups_) {
+      EmitGroup(cursor_++, &out->AppendSlot());
     }
     return !out->empty();
   }
 
  private:
-  // Accumulates straight off a fused scan's backing columns: windows are
-  // filtered through the scan's compiled kernels (plus row residual) and
-  // each surviving row is gathered narrow — only the columns the group keys
-  // and aggregate arguments read (narrow_map_) — before feeding the
-  // accumulators. Scan counters are credited exactly as the scan itself
-  // would credit them.
-  void FusedAccumulate(ScanSource* src,
-                       RowKeyMap<std::vector<AggAccumulator>>* groups) {
-    const ColumnStore& store = *src->store;
-    const std::vector<int64_t>* pos = src->positions;
-    const int64_t limit = pos != nullptr ? static_cast<int64_t>(pos->size())
-                                         : store.num_rows();
-    std::vector<int32_t> sel;
-    Row scratch;
-    Row narrow(narrow_map_.size());
-    for (int64_t start = 0; start < limit;) {
-      int window = static_cast<int>(
-          std::min<int64_t>(RowBatch::kDefaultCapacity, limit - start));
-      ctx_->rows_scanned += window;
-      if (src->count_spool_reads) ctx_->spool_rows_read += window;
-      sel.resize(static_cast<size_t>(window));
-      int count = FilterWindow(store, pos, *src->pred, start, window,
-                               sel.data(), &scratch);
-      src->stats->rows_out += count;
-      stats_->rows_in += count;
-      for (int i = 0; i < count; ++i) {
-        int32_t r = sel[i];
-        for (size_t j = 0; j < narrow_map_.size(); ++j) {
-          store.column(narrow_map_[j]).GetInto(r, &narrow[j]);
-        }
-        Accumulate(narrow, groups);
+  // Binds each aggregate's argument against the input layout. Fused
+  // arguments other than typed plain columns bind against a narrow layout
+  // of just the columns they read (narrow_map_), gathered per row.
+  void BindAggregates(const Layout& input) {
+    aggs_.clear();
+    std::set<ColId> narrow_cols;
+    for (const AggregateItem& a : node_.aggs) {
+      AggState st;
+      st.fn = a.fn;
+      st.result_type = ResultType(a);
+      st.count_star = a.arg == nullptr;
+      ExprPtr bound = a.arg ? BindExpr(a.arg, input) : nullptr;
+      if (bound != nullptr && bound->kind == ExprKind::kBoundColumn) {
+        st.col = bound->bound_index;
       }
-      start += window;
+      if (fused_ != nullptr) {
+        st.typed = st.col >= 0 &&
+                   AggState::TypedInput(
+                       a.fn, fused_->store->column(st.col).type());
+        if (!st.typed && !st.count_star) CollectColumns(a.arg, &narrow_cols);
+      } else if (st.col < 0) {
+        st.expr = bound;
+      }
+      aggs_.push_back(std::move(st));
+    }
+    narrow_map_.clear();
+    if (narrow_cols.empty()) return;
+    std::vector<ColId> cols(narrow_cols.begin(), narrow_cols.end());
+    for (ColId c : cols) narrow_map_.push_back(input.IndexOf(c));
+    Layout narrow(std::move(cols));
+    for (size_t i = 0; i < aggs_.size(); ++i) {
+      AggState& st = aggs_[i];
+      if (st.typed || st.count_star) continue;
+      st.col = -1;
+      st.expr = BindExpr(node_.aggs[i].arg, narrow);
     }
   }
 
-  // Group lookup probes with a RowKeyRef (no key extraction); the key row
-  // is only materialized for new groups.
-  void Accumulate(const Row& row, RowKeyMap<std::vector<AggAccumulator>>* groups) {
-    RowKeyRef ref{&row, &group_idx_, HashRowAt(row, group_idx_)};
-    auto it = groups->find(ref);
-    if (it == groups->end()) {
-      RowKey key(ApplyMapping(row, group_idx_));
-      it = groups->try_emplace(std::move(key)).first;
-      it->second.reserve(node_.aggs.size());
-      for (const AggregateItem& a : node_.aggs) {
-        it->second.emplace_back(a.fn);
+  // Creates the next group id; `first_row` is its first input row when
+  // fused (its key is read back from there).
+  void NewGroup(int32_t first_row) {
+    ++num_groups_;
+    if (fused_ != nullptr) first_row_.push_back(first_row);
+    for (AggState& st : aggs_) st.AddGroup();
+  }
+
+  // Accumulates straight off the fused scan's backing columns, one filtered
+  // window at a time. Scan counters are credited exactly as the scan itself
+  // would credit them.
+  void AccumulateFused() {
+    const ColumnStore& store = *fused_->store;
+    const std::vector<int64_t>* pos = fused_->positions;
+    const int64_t limit = pos != nullptr ? static_cast<int64_t>(pos->size())
+                                         : store.num_rows();
+    bool value_aggs = false;
+    for (const AggState& st : aggs_) value_aggs |= !st.typed && !st.count_star;
+    Row scratch;
+    Row narrow(narrow_map_.size());
+    for (int64_t start = 0; start < limit;) {
+      const int window = static_cast<int>(
+          std::min<int64_t>(RowBatch::kDefaultCapacity, limit - start));
+      ctx_->rows_scanned += window;
+      if (fused_->count_spool_reads) ctx_->spool_rows_read += window;
+      sel_.resize(static_cast<size_t>(window));
+      const int count = FilterWindow(store, pos, *fused_->pred, start, window,
+                                     sel_.data(), &scratch);
+      start += window;
+      fused_->stats->rows_out += count;
+      stats_->rows_in += count;
+      ResolveFusedGroups(store, count);
+      for (AggState& st : aggs_) {
+        if (st.count_star) {
+          for (int i = 0; i < count; ++i) ++st.count[gids_[i]];
+        } else if (st.typed) {
+          st.UpdateColumn(store.column(st.col), sel_.data(), gids_.data(),
+                          count);
+        }
+      }
+      if (!value_aggs) continue;
+      for (int i = 0; i < count; ++i) {
+        for (size_t j = 0; j < narrow_map_.size(); ++j) {
+          store.column(narrow_map_[j]).GetInto(sel_[i], &narrow[j]);
+        }
+        for (AggState& st : aggs_) {
+          if (st.typed || st.count_star) continue;
+          st.Update(gids_[i], EvalExpr(st.expr, narrow));
+        }
       }
     }
-    for (size_t i = 0; i < node_.aggs.size(); ++i) {
-      if (arg_idx_[i] >= 0) {
-        it->second[i].Update(row[arg_idx_[i]]);
-        continue;
+  }
+
+  // Resolves the group ids of window rows sel_[0..n) into gids_.
+  void ResolveFusedGroups(const ColumnStore& store, int n) {
+    gids_.resize(static_cast<size_t>(n));
+    const int32_t* sel = sel_.data();
+    int32_t* gid = gids_.data();
+    if (group_idx_.empty()) {
+      std::fill(gid, gid + n, 0);
+      return;
+    }
+    if (int_key_) {
+      // Exact key bits: int64 values or dictionary codes.
+      const Column& c = store.column(group_idx_[0]);
+      const NullBitmap& nulls = c.nulls();
+      const bool has_nulls = nulls.any();
+      const bool coded = c.type() == DataType::kString;
+      const int64_t* ints = c.ints();
+      const int32_t* codes = c.codes();
+      auto exact = [](int32_t) { return true; };
+      for (int i = 0; i < n; ++i) {
+        const int32_t r = sel[i];
+        if (has_nulls && nulls.Test(r)) {
+          if (null_group_ < 0) {
+            null_group_ = num_groups_;
+            NewGroup(r);
+          }
+          gid[i] = null_group_;
+          continue;
+        }
+        const uint64_t k = coded ? static_cast<uint64_t>(codes[r])
+                                 : static_cast<uint64_t>(ints[r]);
+        const int32_t fresh = num_groups_;
+        gid[i] = table_.FindOrInsert(k, fresh, exact);
+        if (gid[i] == fresh) NewGroup(r);
       }
-      Value v = bound_args_[i] ? EvalExpr(bound_args_[i], row)
-                               : Value::Int64(1);  // COUNT(*)
-      it->second[i].Update(v);
+      return;
+    }
+    // Generic path: hash the key cells column by column (codes for strings,
+    // -0.0 as 0.0, one constant for nulls), then find-or-insert with a key
+    // check against each candidate group's first row.
+    hashes_.assign(static_cast<size_t>(n), 0);
+    for (int k : group_idx_) {
+      const Column& c = store.column(k);
+      const NullBitmap& nulls = c.nulls();
+      const bool has_nulls = nulls.any();
+      for (int i = 0; i < n; ++i) {
+        const int32_t r = sel[i];
+        uint64_t cell;
+        if (has_nulls && nulls.Test(r)) {
+          cell = kNullKeyHash;
+        } else if (c.type() == DataType::kDouble) {
+          double d = c.doubles()[r];
+          if (d == 0) d = 0.0;
+          std::memcpy(&cell, &d, sizeof(cell));
+        } else if (c.type() == DataType::kString) {
+          cell = static_cast<uint64_t>(c.codes()[r]);
+        } else {
+          cell = static_cast<uint64_t>(c.ints()[r]);
+        }
+        HashCombine(&hashes_[i], cell);
+      }
+    }
+    for (int i = 0; i < n; ++i) {
+      const int32_t r = sel[i];
+      const int32_t fresh = num_groups_;
+      gid[i] = table_.FindOrInsert(hashes_[i], fresh, [&](int32_t g) {
+        return SameStoredKey(store, r, first_row_[static_cast<size_t>(g)]);
+      });
+      if (gid[i] == fresh) NewGroup(r);
+    }
+  }
+
+  // Key equality of store rows a and b (nulls equal each other only).
+  bool SameStoredKey(const ColumnStore& store, int32_t a, int32_t b) const {
+    for (int k : group_idx_) {
+      const Column& c = store.column(k);
+      const bool null_a = c.IsNull(a);
+      if (null_a != c.IsNull(b)) return false;
+      if (null_a) continue;
+      switch (c.type()) {
+        case DataType::kDouble:
+          if (c.doubles()[a] != c.doubles()[b]) return false;
+          break;
+        case DataType::kString:
+          if (c.codes()[a] != c.codes()[b]) return false;
+          break;
+        default:
+          if (c.ints()[a] != c.ints()[b]) return false;
+          break;
+      }
+    }
+    return true;
+  }
+
+  // Accumulates n Value rows (a batch, or one row in row mode), one row at
+  // a time so each row's Values are read while cached.
+  void AccumulateRows(const Row* rows, int n) {
+    for (int i = 0; i < n; ++i) {
+      const Row& row = rows[i];
+      const int32_t g = RowGroup(row);
+      for (AggState& st : aggs_) {
+        if (st.count_star) {
+          ++st.count[g];
+        } else if (st.col >= 0) {
+          st.Update(g, row[st.col]);
+        } else {
+          st.Update(g, EvalExpr(st.expr, row));
+        }
+      }
+    }
+  }
+
+  // Whether `row`'s key equals group g's stored key Values.
+  bool SameKeyValues(const Row& row, int32_t g) const {
+    const Row& key = group_keys_[static_cast<size_t>(g)];
+    for (size_t k = 0; k < key.size(); ++k) {
+      if (!KeyValueEq(row[group_idx_[k]], key[k])) return false;
+    }
+    return true;
+  }
+
+  // Group id of a Value row: the key hash (Value::Hash agrees with
+  // Value::Compare across int/double and -0.0) plus a key check against
+  // each candidate group's stored key.
+  int32_t RowGroup(const Row& row) {
+    if (group_idx_.empty()) return 0;
+    const int32_t fresh = num_groups_;
+    const int32_t g = table_.FindOrInsert(
+        HashRowAt(row, group_idx_), fresh,
+        [&](int32_t id) { return SameKeyValues(row, id); });
+    if (g == fresh) {
+      group_keys_.push_back(ApplyMapping(row, group_idx_));
+      NewGroup(-1);
+    }
+    return g;
+  }
+
+  // Writes group g's row (group columns then aggregates, remapped to the
+  // node's output layout) into *out, reusing its Value storage.
+  void EmitGroup(int32_t g, Row* out) {
+    const size_t nk = group_idx_.size();
+    out->resize(map_.size());
+    for (size_t j = 0; j < map_.size(); ++j) {
+      const size_t i = static_cast<size_t>(map_[j]);
+      Value& dst = (*out)[j];
+      if (i < nk) {
+        dst = fused_ != nullptr
+                  ? fused_->store->column(group_idx_[i])
+                        .Get(first_row_[static_cast<size_t>(g)])
+                  : group_keys_[static_cast<size_t>(g)][i];
+      } else {
+        const AggState& st = aggs_[i - nk];
+        dst = st.Final(g, st.typed ? &fused_->store->column(st.col) : nullptr);
+      }
     }
   }
 
@@ -1394,15 +1772,29 @@ class HashAggOp : public Operator {
                          a.arg ? a.arg->type : DataType::kInt64);
   }
 
+  static constexpr uint64_t kNullKeyHash = 0x9b1a4c7d;
+
   const PhysicalNode& node_;
   std::unique_ptr<Operator> child_;
-  std::vector<int> group_idx_;
-  std::vector<ExprPtr> bound_args_;
-  std::vector<int> arg_idx_;  // column index per agg arg, -1 = general expr
+  ScanSource* fused_ = nullptr;
+  std::vector<int> group_idx_;   // group key columns in the input layout
+  bool int_key_ = false;         // fused single non-double key: exact bits
+  std::vector<AggState> aggs_;
+  std::vector<int> narrow_map_;  // store columns gathered for Value args
   std::vector<int> map_;
-  std::vector<int> narrow_map_;  // store columns gathered per row (fused)
-  std::vector<Row> results_;
-  size_t cursor_ = 0;
+  // Group table: ids 0..num_groups_-1 in first-seen order.
+  ChainTable table_;
+  int32_t num_groups_ = 0;
+  int32_t null_group_ = -1;           // int path: the null key's group
+  std::vector<int32_t> first_row_;    // fused: each group's first store row
+  // Value input: each group's key, one small Row per group, so many groups
+  // never reallocate one large block of Values (that raised peak RSS).
+  std::vector<Row> group_keys_;
+  // Per-window scratch.
+  std::vector<int32_t> sel_;
+  std::vector<int32_t> gids_;
+  std::vector<uint64_t> hashes_;
+  int32_t cursor_ = 0;  // next group to emit
 };
 
 // -------------------------------------------------------- project / sort ---

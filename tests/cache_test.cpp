@@ -8,9 +8,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "api/database.h"
 #include "cache/fingerprint.h"
+#include "cache/plan_rebind.h"
 #include "cache/result_cache.h"
 #include "sql/parser.h"
 
@@ -163,6 +165,90 @@ TEST_F(CacheTest, RebindHitSubstitutesLiterals) {
   ASSERT_TRUE(r3.ok());
   EXPECT_TRUE(r3->cache.plan_cache_hit);
   EXPECT_FALSE(r3->cache.plan_rebound);
+}
+
+// Two batches that differ only in a CSE consumer's compensation literal:
+// the paper's Example 1 batch with the first statement's c_nationkey < 20
+// or < 18 (the spooled E5 covers 0 < c_nationkey < 25 either way). The
+// consumer's compensation filter is folded into its spool scan and keeps
+// the literal's plan-cache slot, so rebinding the cached consumer plans
+// with the second batch's literals rewrites the folded filter, and running
+// them over the first batch's spool plans returns the second batch's naive
+// rows. Through the Database the second batch is re-planned (CSE plans
+// replay on exact literals only) and matches too.
+TEST_F(CacheTest, CompensationLiteralRebindsFoldedSpoolFilter) {
+  auto batch = [](const char* literal) {
+    return std::string(
+               "select c_nationkey, c_mktsegment, sum(l_extendedprice) as le "
+               "from customer, orders, lineitem "
+               "where c_custkey = o_custkey and o_orderkey = l_orderkey "
+               "and o_orderdate < '1996-07-01' and c_nationkey > 0 "
+               "and c_nationkey < ") +
+           literal +
+           " group by c_nationkey, c_mktsegment; "
+           "select c_nationkey, sum(l_extendedprice) as le "
+           "from customer, orders, lineitem "
+           "where c_custkey = o_custkey and o_orderkey = l_orderkey "
+           "and o_orderdate < '1996-07-01' and c_nationkey > 5 "
+           "and c_nationkey < 25 group by c_nationkey";
+  };
+  const std::string b1 = batch("20");
+  const std::string b2 = batch("18");
+  QueryOptions options = CachedOptions();
+  options.cache.result_cache = false;
+  auto r1 = db_.Execute(b1, options);
+  ASSERT_TRUE(r1.ok()) << r1.status().ToString();
+  ASSERT_GE(r1->metrics.used_cses, 1);
+
+  auto p1 = sql::ParseBatch(b1);
+  auto p2 = sql::ParseBatch(b2);
+  ASSERT_TRUE(p1.ok() && p2.ok());
+  cache::BatchFingerprint f1 = Database::PlanCacheKey(*p1, options);
+  cache::BatchFingerprint f2 = Database::PlanCacheKey(*p2, options);
+  ASSERT_EQ(f1.text, f2.text);
+  ASSERT_EQ(f1.params.size(), f2.params.size());
+  int slot = -1;
+  for (size_t i = 0; i < f1.params.size(); ++i) {
+    if (f1.params[i] != f2.params[i]) slot = static_cast<int>(i);
+  }
+  ASSERT_GE(slot, 0);
+
+  std::optional<cache::PlanCache::Hit> hit = db_.plan_cache()->Lookup(f1);
+  ASSERT_TRUE(hit.has_value());
+  ExecutablePlan consumers;
+  consumers.root = hit->plan.root;
+  std::optional<ExecutablePlan> rebound =
+      cache::RebindPlan(consumers, f2.params);
+  ASSERT_TRUE(rebound.has_value());
+  // The folded spool-scan filter holding the slot now reads 18.
+  int folded = 0;
+  std::function<void(const ExprPtr&)> check = [&](const ExprPtr& e) {
+    if (e == nullptr) return;
+    if (e->kind == ExprKind::kLiteral && e->param_slot == slot) {
+      EXPECT_EQ(e->literal.AsInt64(), 18);
+      ++folded;
+    }
+    for (const ExprPtr& c : e->children) check(c);
+  };
+  std::function<void(const PhysicalNode&)> walk = [&](const PhysicalNode& n) {
+    if (n.kind == PhysOpKind::kSpoolScan) check(n.filter);
+    for (const PhysicalNodePtr& c : n.children) walk(*c);
+  };
+  walk(*rebound->root);
+  EXPECT_EQ(folded, 1) << hit->plan_text;
+
+  rebound->cse_plans = hit->plan.cse_plans;
+  QueryResult replayed;
+  for (StatementResult& st : ExecutePlan(*rebound)) {
+    replayed.statements.push_back(std::move(st));
+  }
+  QueryResult naive2 = Naive(b2);
+  ExpectSameResults(replayed, naive2);
+
+  auto r2 = db_.Execute(b2, options);
+  ASSERT_TRUE(r2.ok());
+  EXPECT_FALSE(r2->cache.plan_rebound);
+  ExpectSameResults(*r2, naive2);
 }
 
 TEST_F(CacheTest, RecycledCandidateCostsOnlyReads) {

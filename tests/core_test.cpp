@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 
 #include "core/candidate_gen.h"
 #include "core/cse_optimizer.h"
 #include "core/signature.h"
 #include "expr/implication.h"
 #include "exec/executor.h"
+#include "optimizer/cost_model.h"
 #include "sql/binder.h"
 #include "tpch/tpch.h"
 
@@ -262,6 +264,40 @@ TEST_F(CoreTest, Example1WithCseMatchesWithout) {
   EXPECT_EQ(with_cse.metrics.candidates_after_pruning, 1);
   EXPECT_EQ(with_cse.metrics.used_cses, 1);
   EXPECT_LT(with_cse.metrics.final_cost, with_cse.metrics.normal_cost);
+}
+
+// Each E5 consumer compensates with its own c_nationkey range. The
+// compensation filter folds into the consumer's spool scan (no Filter sits
+// directly above a SpoolScan), and the folded scan keeps the estimates of
+// the Filter-over-SpoolScan it replaces: est_cost = C_R + Filter(rows).
+TEST_F(CoreTest, CompensationFilterFoldsIntoSpoolScan) {
+  QueryContext ctx(catalog_);
+  auto stmts = sql::BindSql(Batch123(), &ctx);
+  ASSERT_TRUE(stmts.ok()) << stmts.status().ToString();
+  CseQueryOptimizer optimizer(&ctx, CseOptimizerOptions());
+  CseMetrics metrics;
+  ExecutablePlan plan = optimizer.Optimize(*stmts, &metrics);
+  ASSERT_EQ(metrics.used_cses, 1);
+  std::vector<const PhysicalNode*> folded;
+  std::function<void(const PhysicalNode&)> walk = [&](const PhysicalNode& n) {
+    for (const PhysicalNodePtr& c : n.children) {
+      EXPECT_FALSE(n.kind == PhysOpKind::kFilter &&
+                   c->kind == PhysOpKind::kSpoolScan)
+          << plan.ToString();
+      walk(*c);
+    }
+    if (n.kind == PhysOpKind::kSpoolScan && n.filter != nullptr) {
+      folded.push_back(&n);
+    }
+  };
+  walk(*plan.root);
+  ASSERT_EQ(folded.size(), 3u) << plan.ToString();
+  for (const PhysicalNode* scan : folded) {
+    const CseCandidateInfo& cand =
+        optimizer.optimizer().candidates()[scan->cse_id];
+    EXPECT_EQ(scan->est_cost,
+              cand.spool_read_cost + CostModel::Filter(cand.est_rows));
+  }
 }
 
 TEST_F(CoreTest, Example1NoHeuristicsSamePlanQuality) {

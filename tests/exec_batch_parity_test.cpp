@@ -5,20 +5,25 @@
 // that have real divergence potential:
 //   - fused scans (batch-mode hash join probe / hash agg iterate the scan's
 //     backing storage in place instead of pulling gathered batches),
-//   - the single-int-key hash join fast path (IntKeyTable) vs. the general
-//     RowKey map, including non-integral double and null join keys,
+//   - the single-int-key hash join fast path (exact int64 ChainTable keys)
+//     vs. the general hash-keyed path, including non-integral double and
+//     null join keys,
 //   - row pulls *inside* a batch-mode tree: operators without a batch
 //     override (e.g. nested-loop join, index NL join) drive their children
 //     through Next() even when ctx->mode == kBatch, so every batch operator
 //     must also serve its row interface under batch-mode bindings,
 //   - CSE spool write + multi-consumer spool read in both modes,
-//   - empty inputs, empty results, and residual join predicates.
+//   - empty inputs, empty results, and residual join predicates,
+//   - aggregation edge cases (null/-0.0 keys, type fidelity, expression
+//     arguments, fused and non-fused input) against an AggAccumulator
+//     reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 #include <vector>
 
+#include "agg_reference.h"
 #include "core/cse_optimizer.h"
 #include "exec/executor.h"
 #include "exec/naive_planner.h"
@@ -535,6 +540,294 @@ TEST(ExecBatchParityTest, NullAndDoubleGroupKeysParity) {
   for (const std::string& r : rows) {
     if (r.substr(0, 4) == "NULL") {
       EXPECT_EQ(r, "NULL|3|") << "null group keys must merge";
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Aggregation edge cases against an AggAccumulator reference. Every shape
+// runs fused (HashAgg straight over the scan: batch mode reads the columns
+// in place) and non-fused (a pass-through Filter in between feeds Values,
+// like join output), each in row mode and in batch mode with prefetch on
+// and off. Values render with their type and doubles exactly (%a), so sums
+// must match bit for bit and min/max must keep their type.
+
+std::string Exact(const Value& v) {
+  if (v.is_null()) return "NULL";
+  switch (v.type()) {
+    case DataType::kDouble: {
+      char buf[64];
+      snprintf(buf, sizeof(buf), "d:%a", v.AsDouble());
+      return buf;
+    }
+    case DataType::kInt64:
+      return "i:" + v.ToString();
+    case DataType::kDate:
+      return "date:" + v.ToString();
+    case DataType::kBool:
+      return "b:" + v.ToString();
+    case DataType::kString:
+      return "s:" + v.AsString();
+  }
+  return "?";
+}
+
+std::vector<std::string> ExactRows(const std::vector<Row>& rows) {
+  std::vector<std::string> out;
+  for (const Row& r : rows) {
+    std::string s;
+    for (const Value& v : r) s += Exact(v) + "|";
+    out.push_back(std::move(s));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Runs `node` in row mode and in batch mode with prefetch on and off; all
+// three must agree exactly.
+std::vector<std::string> RunAllModesExact(const PhysicalNode& node) {
+  ExecContext row_ctx;
+  row_ctx.mode = ExecMode::kRowAtATime;
+  std::vector<std::string> row = ExactRows(RunToVector(node, &row_ctx));
+  for (bool prefetch : {true, false}) {
+    ExecContext batch_ctx;
+    batch_ctx.mode = ExecMode::kBatch;
+    batch_ctx.prefetch = prefetch;
+    EXPECT_EQ(row, ExactRows(RunToVector(node, &batch_ctx)))
+        << "prefetch=" << prefetch;
+  }
+  return row;
+}
+
+// id (never null), then nullable keys and arguments of every physical type:
+// int, double (with -0.0 and 0.0), string, date.
+Schema AggSchema() {
+  Schema s;
+  s.AddColumn("id", DataType::kInt64);
+  s.AddColumn("ki", DataType::kInt64);
+  s.AddColumn("kd", DataType::kDouble);
+  s.AddColumn("ks", DataType::kString);
+  s.AddColumn("dt", DataType::kDate);
+  s.AddColumn("s", DataType::kString);
+  s.AddColumn("x", DataType::kInt64);
+  s.AddColumn("y", DataType::kDouble);
+  return s;
+}
+
+Table* FillAggTable(Catalog* catalog, const std::string& name, int rows) {
+  Rng rng(97);
+  Table* t = *catalog->CreateTable(name, AggSchema());
+  const double kd[] = {-0.0, 0.0, 1.5, 2.0, -3.25};
+  const char* strs[] = {"delta", "alpha", "charlie", "bravo"};
+  auto maybe_null = [&](Value v, DataType type) {
+    return rng.Uniform(0, 6) == 0 ? Value::Null(type) : std::move(v);
+  };
+  for (int i = 0; i < rows; ++i) {
+    t->AppendRow({
+        Value::Int64(i),
+        maybe_null(Value::Int64(rng.Uniform(0, 4)), DataType::kInt64),
+        maybe_null(Value::Double(kd[rng.Uniform(0, 4)]), DataType::kDouble),
+        maybe_null(Value::String(strs[rng.Uniform(0, 3)]), DataType::kString),
+        maybe_null(Value::Date(9000 + rng.Uniform(0, 400)), DataType::kDate),
+        maybe_null(Value::String(strs[rng.Uniform(0, 3)] +
+                                 std::to_string(rng.Uniform(0, 9))),
+                   DataType::kString),
+        maybe_null(Value::Int64(rng.Uniform(-50, 50)), DataType::kInt64),
+        maybe_null(Value::Double(rng.Uniform(-400, 400) / 8.0 + 0.1),
+                   DataType::kDouble),
+    });
+  }
+  return t;
+}
+
+// Reference aggregation: groups in first-seen order under Value::Compare
+// equality (nulls equal), accumulated through AggAccumulator. Output is
+// group columns then aggregates (the plans below use that layout).
+std::vector<Row> ReferenceAgg(const Table& t, const Layout& layout,
+                              const PhysicalNode& agg) {
+  std::vector<int> key_idx;
+  for (ColId c : agg.group_cols) key_idx.push_back(layout.IndexOf(c));
+  std::vector<ExprPtr> args;
+  for (const AggregateItem& a : agg.aggs) {
+    args.push_back(a.arg ? BindExpr(a.arg, layout) : nullptr);
+  }
+  std::vector<Row> keys;
+  std::vector<std::vector<AggAccumulator>> accs;
+  auto same = [](const Value& a, const Value& b) {
+    return a.is_null() == b.is_null() && (a.is_null() || a.Compare(b) == 0);
+  };
+  for (int64_t r = 0; r < t.row_count(); ++r) {
+    Row row = t.columns().GetRow(r);
+    Row key;
+    for (int k : key_idx) key.push_back(row[k]);
+    size_t g = 0;
+    while (g < keys.size() &&
+           !std::equal(key.begin(), key.end(), keys[g].begin(), same)) {
+      ++g;
+    }
+    if (g == keys.size()) {
+      keys.push_back(key);
+      accs.emplace_back();
+      for (const AggregateItem& a : agg.aggs) accs.back().emplace_back(a.fn);
+    }
+    for (size_t i = 0; i < args.size(); ++i) {
+      accs[g][i].Update(args[i] ? EvalExpr(args[i], row) : Value::Int64(1));
+    }
+  }
+  if (keys.empty() && agg.group_cols.empty()) {
+    keys.emplace_back();
+    accs.emplace_back();
+    for (const AggregateItem& a : agg.aggs) accs.back().emplace_back(a.fn);
+  }
+  std::vector<Row> out;
+  for (size_t g = 0; g < keys.size(); ++g) {
+    Row row = keys[g];
+    for (size_t i = 0; i < agg.aggs.size(); ++i) {
+      const AggregateItem& a = agg.aggs[i];
+      row.push_back(accs[g][i].Final(
+          AggResultType(a.fn, a.arg ? a.arg->type : DataType::kInt64)));
+    }
+    out.push_back(std::move(row));
+  }
+  return out;
+}
+
+TEST(ExecBatchParityTest, AggregationEdgeCasesMatchReference) {
+  Catalog catalog;
+  QueryContext ctx(&catalog);
+  Table* t = FillAggTable(&catalog, "a", 700);
+  int rel = ctx.AddRelation(*t, "a");
+  const std::vector<ColId> c = ctx.columns().RelationColumns(rel);
+  const Layout layout(c);
+  enum { kId, kKi, kKd, kKs, kDt, kS, kX, kY };
+  auto col = [&](int i) { return Expr::Column(c[i], AggSchema().column(i).type); };
+  // count(*) vs count(col), int vs double sums, date/string/double/int
+  // min/max, and expression arguments (double- and int-typed).
+  struct Agg {
+    AggFn fn;
+    ExprPtr arg;
+  };
+  const std::vector<Agg> aggs = {
+      {AggFn::kCount, nullptr},
+      {AggFn::kCount, col(kX)},
+      {AggFn::kCount, col(kS)},
+      {AggFn::kSum, col(kX)},
+      {AggFn::kSum, col(kY)},
+      {AggFn::kMin, col(kDt)},
+      {AggFn::kMax, col(kDt)},
+      {AggFn::kMin, col(kS)},
+      {AggFn::kMax, col(kS)},
+      {AggFn::kMin, col(kY)},
+      {AggFn::kMax, col(kX)},
+      {AggFn::kMax, col(kKd)},
+      {AggFn::kSum, Expr::Arith(ArithOp::kMul, col(kX), col(kY))},
+      {AggFn::kSum, Expr::Arith(ArithOp::kMul, col(kX), col(kX))},
+      {AggFn::kMin, Expr::Arith(ArithOp::kAdd, col(kX), col(kKi))},
+  };
+  std::vector<AggregateItem> items;
+  for (const Agg& a : aggs) {
+    DataType type = AggResultType(a.fn, a.arg ? a.arg->type : DataType::kInt64);
+    items.push_back({a.fn, a.arg, ctx.columns().AddSynthetic("agg", type)});
+  }
+  // Scalar, single int / double / string / date keys, multi-column keys.
+  const std::vector<std::vector<int>> key_sets = {
+      {}, {kKi}, {kKd}, {kKs}, {kDt}, {kKi, kKs}, {kKd, kS}, {kKs, kKi, kKd}};
+  for (const std::vector<int>& keys : key_sets) {
+    std::vector<ColId> natural;
+    for (int k : keys) natural.push_back(c[k]);
+    for (const AggregateItem& a : items) natural.push_back(a.output);
+    for (bool fused : {true, false}) {
+      auto agg = MakePhysical(PhysOpKind::kHashAgg);
+      for (int k : keys) agg->group_cols.push_back(c[k]);
+      agg->aggs = items;
+      agg->output = Layout(natural);
+      PhysicalNodePtr input = Scan(t, c);
+      if (!fused) {
+        auto filter = MakePhysical(PhysOpKind::kFilter);
+        filter->filter = Expr::Compare(CmpOp::kGe, col(kId),
+                                       Expr::Literal(Value::Int64(0)));
+        filter->children = {std::move(input)};
+        filter->output = layout;
+        input = std::move(filter);
+      }
+      agg->children = {std::move(input)};
+      std::vector<std::string> got = RunAllModesExact(*agg);
+      EXPECT_EQ(got, ExactRows(ReferenceAgg(*t, layout, *agg)))
+          << "keys=" << keys.size() << " fused=" << fused;
+      // -0.0 and 0.0 share one group, keyed by whichever came first.
+      if (keys == std::vector<int>{kKd}) {
+        EXPECT_EQ(got.size(), 5u) << "{0.0,-0.0} {1.5} {2.0} {-3.25} {NULL}";
+      }
+    }
+  }
+}
+
+// A CSE consumer whose compensation filter (folded into the spool scan)
+// rejects every spooled row: the scalar aggregate still yields its one row
+// (count 0, other aggregates NULL); a grouped one yields none.
+TEST(ExecBatchParityTest, ScalarAggOverFullyRejectingSpoolFilter) {
+  Catalog catalog;
+  QueryContext ctx(&catalog);
+  Table* t = FillAggTable(&catalog, "a", 300);
+  int rel = ctx.AddRelation(*t, "a");
+  const std::vector<ColId> c = ctx.columns().RelationColumns(rel);
+  ExecutablePlan::CsePlan cse;
+  cse.cse_id = 3;
+  cse.plan = Scan(t, c);
+  cse.spool_schema = AggSchema();
+  cse.output = c;
+  auto spool_agg = [&](bool grouped) {
+    auto spool = MakePhysical(PhysOpKind::kSpoolScan);
+    spool->cse_id = cse.cse_id;
+    spool->input_cols = c;
+    spool->output = Layout({c[1], c[4], c[5], c[6], c[7]});
+    spool->filter = Expr::Compare(CmpOp::kLt, Expr::Column(c[0], DataType::kInt64),
+                                  Expr::Literal(Value::Int64(0)));
+    auto agg = MakePhysical(PhysOpKind::kHashAgg);
+    if (grouped) agg->group_cols = {c[1]};
+    auto out = [&](const char* name, DataType type) {
+      return ctx.columns().AddSynthetic(name, type);
+    };
+    agg->aggs = {
+        {AggFn::kCount, nullptr, out("n", DataType::kInt64)},
+        {AggFn::kCount, Expr::Column(c[6], DataType::kInt64),
+         out("nx", DataType::kInt64)},
+        {AggFn::kSum, Expr::Column(c[6], DataType::kInt64),
+         out("sx", DataType::kInt64)},
+        {AggFn::kSum, Expr::Column(c[7], DataType::kDouble),
+         out("sy", DataType::kDouble)},
+        {AggFn::kMin, Expr::Column(c[5], DataType::kString),
+         out("ms", DataType::kString)},
+        {AggFn::kMax, Expr::Column(c[4], DataType::kDate),
+         out("md", DataType::kDate)},
+    };
+    std::vector<ColId> natural = agg->group_cols;
+    for (const AggregateItem& a : agg->aggs) natural.push_back(a.output);
+    agg->output = Layout(natural);
+    agg->children = {std::move(spool)};
+    ExecutablePlan plan;
+    plan.cse_plans = {cse};
+    plan.root = MakePhysical(PhysOpKind::kBatch);
+    plan.root->children = {std::move(agg)};
+    return plan;
+  };
+  for (bool grouped : {false, true}) {
+    ExecutablePlan plan = spool_agg(grouped);
+    for (ExecMode mode : {ExecMode::kRowAtATime, ExecMode::kBatch}) {
+      for (bool prefetch : {true, false}) {
+        ExecOptions opts;
+        opts.mode = mode;
+        opts.prefetch = prefetch;
+        ExecutionMetrics metrics;
+        std::vector<StatementResult> results = ExecutePlan(plan, opts, &metrics);
+        ASSERT_EQ(results.size(), 1u);
+        EXPECT_EQ(metrics.spool_rows_read, t->row_count());
+        std::vector<std::string> want;
+        if (!grouped) want = {"i:0|i:0|NULL|NULL|NULL|NULL|"};
+        EXPECT_EQ(ExactRows(results[0].rows), want)
+            << "grouped=" << grouped << " batch=" << (mode == ExecMode::kBatch)
+            << " prefetch=" << prefetch;
+      }
     }
   }
 }

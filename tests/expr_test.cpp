@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "agg_reference.h"
 #include "expr/aggregate.h"
 #include "expr/column.h"
 #include "expr/equivalence.h"
