@@ -62,7 +62,6 @@ WorkloadResult RunWorkload(Database* db, const std::string& name,
                            const std::string& sql,
                            const std::string& warm_sql, int repeats = 5) {
   QueryOptions plain;
-  plain.exec.time_operators = false;
   QueryOptions cached = plain;
   cached.cache.plan_cache = true;
   cached.cache.result_cache = true;

@@ -4,8 +4,8 @@
 //             [--sessions=K] [--strategy=<all|exhaustive|greedy|approximate>]
 //
 // Generates `batches` random query batches (testing/query_gen.h), one
-// generator per seed in [seed, seed+batches), and cross-checks each under
-// row/batch × naive/CSE (testing/differential.h). A failing batch is shrunk
+// generator per seed in [seed, seed+batches), and cross-checks each CSE
+// plan against the naive reference plan (testing/differential.h). A failing batch is shrunk
 // and reported with its seed, so `--seed=<that seed> --batches=1` reproduces
 // it exactly. Exits nonzero when any divergence was found.
 //

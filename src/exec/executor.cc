@@ -56,13 +56,10 @@ std::vector<StatementResult> ExecutePlan(const ExecutablePlan& plan,
   WorkTableManager work_tables;
   ExecContext ctx;
   ctx.work_tables = &work_tables;
-  ctx.mode = options.mode;
   ctx.prefetch = options.prefetch;
-  ctx.time_operators = options.time_operators && metrics != nullptr;
 
   // Materialize each chosen CSE once (paper: the spool operator writes the
-  // result into an internal work table). The batched path hands whole
-  // RowBatches to the work table instead of appending row by row.
+  // result into an internal work table), a whole RowBatch at a time.
   //
   // With a result cache attached, a keyed spool whose cached artifact is
   // still valid is installed straight from the cache (only the C_R reads
@@ -73,7 +70,6 @@ std::vector<StatementResult> ExecutePlan(const ExecutablePlan& plan,
   int64_t spools_recycled = 0;
   int64_t spools_admitted = 0;
   int64_t spool_bytes = 0;
-  int64_t spool_bytes_row_model = 0;
   for (const ExecutablePlan::CsePlan& cse : plan.cse_plans) {
     ctx.phase = StrFormat("cse %d", cse.cse_id);
     WorkTable* wt = work_tables.Create(cse.cse_id, cse.spool_schema);
@@ -88,27 +84,17 @@ std::vector<StatementResult> ExecutePlan(const ExecutablePlan& plan,
             entry, &entry->data));
         ++spools_recycled;
         spool_bytes += wt->columns().ByteSize();
-        spool_bytes_row_model += RowModelBytes(wt->columns());
         continue;
       }
     }
     std::unique_ptr<Operator> op = BuildOperator(*cse.plan, &ctx);
     op->Open();
-    if (ctx.mode == ExecMode::kBatch) {
-      RowBatch batch;
-      while (op->NextBatch(&batch)) {
-        ctx.rows_spooled += batch.size();
-        wt->AppendBatch(batch.data(), batch.size());
-      }
-    } else {
-      Row row;
-      while (op->Next(&row)) {
-        ++ctx.rows_spooled;
-        wt->AppendRow(row);
-      }
+    RowBatch batch;
+    while (op->NextBatch(&batch)) {
+      ctx.rows_spooled += batch.size();
+      wt->AppendBatch(batch.data(), batch.size());
     }
     spool_bytes += wt->columns().ByteSize();
-    spool_bytes_row_model += RowModelBytes(wt->columns());
     if (options.result_cache != nullptr && options.admit_results &&
         !cse.cache_key.empty()) {
       if (options.result_cache->Admit(cse.cache_key, cse.dep_tables,
@@ -137,7 +123,6 @@ std::vector<StatementResult> ExecutePlan(const ExecutablePlan& plan,
     metrics->spools_recycled = spools_recycled;
     metrics->spools_admitted = spools_admitted;
     metrics->spool_bytes = spool_bytes;
-    metrics->spool_bytes_row_model = spool_bytes_row_model;
     metrics->probe_windows = ctx.probe_windows;
     metrics->probe_keys = ctx.probe_keys;
     metrics->probe_in_flight = ctx.probe_in_flight;

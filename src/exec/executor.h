@@ -1,11 +1,6 @@
 // Batch execution: materializes chosen CSEs into work tables (in dependency
 // order, so stacked CSEs can read earlier spools), then runs each statement
-// plan.
-//
-// Plans are pulled either row-at-a-time (the original Volcano interpreter)
-// or vectorized (RowBatch units, the default); see ExecMode in
-// physical/operators.h. Both modes produce identical results — the parity
-// suite in tests/exec_batch_parity_test.cpp enforces it.
+// plan, pulling RowBatch units (physical/operators.h).
 #ifndef SUBSHARE_EXEC_EXECUTOR_H_
 #define SUBSHARE_EXEC_EXECUTOR_H_
 
@@ -32,15 +27,10 @@ bool DefaultPrefetchEnabled();
 
 // Execution knobs, orthogonal to plan choice.
 struct ExecOptions {
-  ExecMode mode = ExecMode::kBatch;
   // AMAC-interleaved hash-join probes + build-side bucket prefetch
   // (DESIGN.md §11). Off runs the straight-line reference loops; results
   // must be identical either way.
   bool prefetch = DefaultPrefetchEnabled();
-  // Collect per-operator wall times (cheap in batch mode: two clock reads
-  // per batch; per-row in row-at-a-time mode). Benchmarks comparing modes
-  // turn this off so neither path pays for instrumentation.
-  bool time_operators = true;
   // Cross-batch CSE result recycler (not owned; nullptr = disabled). For
   // each keyed CsePlan, a valid cached spool is installed into the work
   // table instead of evaluating the plan; freshly evaluated spools are
@@ -56,9 +46,9 @@ struct OperatorMetrics {
   int depth = 0;         // depth within its plan tree
   int64_t rows_in = 0;   // rows pulled from children
   int64_t rows_out = 0;  // rows produced
-  int64_t batches = 0;   // batches produced (batch mode)
+  int64_t batches = 0;   // batches produced
   int64_t open_ns = 0;   // inclusive wall ns in Open()
-  int64_t next_ns = 0;   // inclusive wall ns in Next()/NextBatch()
+  int64_t next_ns = 0;   // inclusive wall ns in NextBatch()
 };
 
 struct ExecutionMetrics {
@@ -67,8 +57,7 @@ struct ExecutionMetrics {
   int64_t spool_rows_read = 0;    // rows read back from work tables
   int64_t spools_recycled = 0;    // work tables served from the result cache
   int64_t spools_admitted = 0;    // freshly evaluated spools admitted
-  int64_t spool_bytes = 0;            // columnar footprint of all CSE spools
-  int64_t spool_bytes_row_model = 0;  // same data costed at row-major layout
+  int64_t spool_bytes = 0;        // columnar footprint of all CSE spools
   int64_t probe_windows = 0;     // batched hash-join probe windows (FindBatch)
   int64_t probe_keys = 0;        // probe keys resolved through those windows
   int probe_in_flight = 0;       // max in-flight probe states observed

@@ -8,7 +8,7 @@ namespace subshare {
 
 namespace {
 
-// Extracts from `conjuncts` the hash-join keys and residual predicates that
+// Extracts from `conjuncts` the equi-join keys and residual predicates that
 // become evaluable when joining `left` and `right`; removes them from
 // `conjuncts`.
 void SplitJoinPredicates(std::vector<ExprPtr>* conjuncts, const Layout& left,
@@ -49,6 +49,33 @@ void SplitJoinPredicates(std::vector<ExprPtr>* conjuncts, const Layout& left,
   *conjuncts = std::move(remaining);
 }
 
+// Joins `left` and `right` on the conjuncts of `conjuncts` that become
+// evaluable there (removed from it): a sort-merge join on the equi-join
+// keys, else a nested-loop join. The reference plans use no hash join, so
+// they share no hash-table code with the plans they are compared against.
+PhysicalNodePtr MakeJoin(std::vector<ExprPtr>* conjuncts,
+                         PhysicalNodePtr left, PhysicalNodePtr right) {
+  std::vector<std::pair<ColId, ColId>> keys;
+  std::vector<ExprPtr> residual;
+  SplitJoinPredicates(conjuncts, left->output, right->output, &keys,
+                      &residual);
+  std::vector<ColId> concat = left->output.cols();
+  concat.insert(concat.end(), right->output.cols().begin(),
+                right->output.cols().end());
+  PhysicalNodePtr join;
+  if (!keys.empty()) {
+    join = MakePhysical(PhysOpKind::kMergeJoin);
+    join->join_keys = std::move(keys);
+    join->join_residual = CombineConjuncts(residual);
+  } else {
+    join = MakePhysical(PhysOpKind::kNlJoin);
+    join->nl_pred = CombineConjuncts(residual);
+  }
+  join->output = Layout(std::move(concat));
+  join->children = {std::move(left), std::move(right)};
+  return join;
+}
+
 PhysicalNodePtr Plan(const LogicalTree& tree, QueryContext* ctx);
 
 PhysicalNodePtr PlanJoinSet(const LogicalTree& tree, QueryContext* ctx) {
@@ -56,26 +83,8 @@ PhysicalNodePtr PlanJoinSet(const LogicalTree& tree, QueryContext* ctx) {
   std::vector<ExprPtr> conjuncts = tree.op.conjuncts;
   PhysicalNodePtr current = Plan(*tree.children[0], ctx);
   for (size_t i = 1; i < tree.children.size(); ++i) {
-    PhysicalNodePtr right = Plan(*tree.children[i], ctx);
-    std::vector<std::pair<ColId, ColId>> keys;
-    std::vector<ExprPtr> residual;
-    SplitJoinPredicates(&conjuncts, current->output, right->output, &keys,
-                        &residual);
-    std::vector<ColId> concat = current->output.cols();
-    concat.insert(concat.end(), right->output.cols().begin(),
-                  right->output.cols().end());
-    PhysicalNodePtr join;
-    if (!keys.empty()) {
-      join = MakePhysical(PhysOpKind::kHashJoin);
-      join->join_keys = std::move(keys);
-      join->join_residual = CombineConjuncts(residual);
-    } else {
-      join = MakePhysical(PhysOpKind::kNlJoin);
-      join->nl_pred = CombineConjuncts(residual);
-    }
-    join->output = Layout(std::move(concat));
-    join->children = {std::move(current), std::move(right)};
-    current = std::move(join);
+    current = MakeJoin(&conjuncts, std::move(current),
+                       Plan(*tree.children[i], ctx));
   }
   if (!conjuncts.empty()) {
     // Conjuncts that needed all relations (e.g. referencing three tables).
@@ -103,28 +112,10 @@ PhysicalNodePtr Plan(const LogicalTree& tree, QueryContext* ctx) {
     case LogicalOpKind::kJoinSet:
       return PlanJoinSet(tree, ctx);
     case LogicalOpKind::kJoin: {
-      PhysicalNodePtr left = Plan(*tree.children[0], ctx);
-      PhysicalNodePtr right = Plan(*tree.children[1], ctx);
       std::vector<ExprPtr> conjuncts = tree.op.conjuncts;
-      std::vector<std::pair<ColId, ColId>> keys;
-      std::vector<ExprPtr> residual;
-      SplitJoinPredicates(&conjuncts, left->output, right->output, &keys,
-                          &residual);
+      PhysicalNodePtr join = MakeJoin(&conjuncts, Plan(*tree.children[0], ctx),
+                                      Plan(*tree.children[1], ctx));
       CHECK(conjuncts.empty()) << "join conjunct not evaluable";
-      std::vector<ColId> concat = left->output.cols();
-      concat.insert(concat.end(), right->output.cols().begin(),
-                    right->output.cols().end());
-      PhysicalNodePtr join;
-      if (!keys.empty()) {
-        join = MakePhysical(PhysOpKind::kHashJoin);
-        join->join_keys = std::move(keys);
-        join->join_residual = CombineConjuncts(residual);
-      } else {
-        join = MakePhysical(PhysOpKind::kNlJoin);
-        join->nl_pred = CombineConjuncts(residual);
-      }
-      join->output = Layout(std::move(concat));
-      join->children = {std::move(left), std::move(right)};
       return join;
     }
     case LogicalOpKind::kGroupBy: {

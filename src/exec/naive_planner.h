@@ -1,10 +1,12 @@
 // Reference planner: translates a LogicalTree directly into a physical plan
-// with no cost-based choices (left-deep hash joins in syntactic order, no
-// column pruning, no index selection, no CSE sharing).
+// with no cost-based choices (left-deep joins in syntactic order: sort-merge
+// on equi-join keys, nested loops otherwise; no column pruning, no index
+// selection, no CSE sharing). Its plans use no hash join, so they share no
+// join code with the optimizer's plans they judge.
 //
-// Used (a) as the correctness oracle in tests — optimizer output must
-// produce identical result sets — and (b) to execute before the optimizer
-// exists in the bring-up sequence.
+// Used (a) as the correctness oracle in tests and the differential fuzzer —
+// optimizer output must produce identical result sets — and (b) to execute
+// before the optimizer exists in the bring-up sequence.
 #ifndef SUBSHARE_EXEC_NAIVE_PLANNER_H_
 #define SUBSHARE_EXEC_NAIVE_PLANNER_H_
 

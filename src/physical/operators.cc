@@ -4,7 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <unordered_map>
+#include <set>
 
 #include "physical/column_kernels.h"
 #include "storage/btree_index.h"
@@ -50,30 +50,13 @@ Row ApplyMapping(const Row& source, const std::vector<int>& map) {
   return out;
 }
 
-// Hash of the key columns `idx` of `row`, combined exactly like
-// HashRow(extracted key) so stored and by-reference keys agree.
+// Hash of the key columns `idx` of `row` (Value::Hash agrees with
+// Value::Compare across int/double and -0.0).
 size_t HashRowAt(const Row& row, const std::vector<int>& idx) {
   size_t seed = 0;
   for (int i : idx) HashCombine(&seed, row[i].Hash());
   return seed;
 }
-
-// Group key for hash aggregation / hash join build. The hash is computed
-// once at construction; probes use RowKeyRef to look up without extracting
-// (and re-hashing) a key row per probe.
-struct RowKey {
-  Row values;
-  size_t hash;
-  explicit RowKey(Row v) : values(std::move(v)), hash(HashRow(values)) {}
-};
-
-// A key described by (row, key column indexes) with a precomputed hash;
-// used for heterogeneous (allocation-free) hash table probes.
-struct RowKeyRef {
-  const Row* row;
-  const std::vector<int>* idx;
-  size_t hash;
-};
 
 // Key equality: Value::Compare semantics, except that nulls equal each other.
 // Same-type cells (every key column in practice) compare inline.
@@ -90,45 +73,6 @@ bool KeyValueEq(const Value& a, const Value& b) {
   }
 }
 
-struct RowKeyHash {
-  using is_transparent = void;
-  size_t operator()(const RowKey& k) const { return k.hash; }
-  size_t operator()(const RowKeyRef& k) const { return k.hash; }
-};
-
-struct RowKeyEq {
-  using is_transparent = void;
-  bool operator()(const RowKey& a, const RowKey& b) const {
-    if (a.values.size() != b.values.size()) return false;
-    for (size_t i = 0; i < a.values.size(); ++i) {
-      if (!KeyValueEq(a.values[i], b.values[i])) return false;
-    }
-    return true;
-  }
-  bool operator()(const RowKeyRef& a, const RowKey& b) const {
-    if (a.idx->size() != b.values.size()) return false;
-    for (size_t i = 0; i < b.values.size(); ++i) {
-      if (!KeyValueEq((*a.row)[(*a.idx)[i]], b.values[i])) return false;
-    }
-    return true;
-  }
-  bool operator()(const RowKey& a, const RowKeyRef& b) const {
-    return operator()(b, a);
-  }
-  bool operator()(const RowKeyRef& a, const RowKeyRef& b) const {
-    if (a.idx->size() != b.idx->size()) return false;
-    for (size_t i = 0; i < a.idx->size(); ++i) {
-      if (!KeyValueEq((*a.row)[(*a.idx)[i]], (*b.row)[(*b.idx)[i]])) {
-        return false;
-      }
-    }
-    return true;
-  }
-};
-
-template <typename V>
-using RowKeyMap = std::unordered_map<RowKey, V, RowKeyHash, RowKeyEq>;
-
 bool HasNullAt(const Row& row, const std::vector<int>& idx) {
   for (int i : idx) {
     if (row[i].is_null()) return true;
@@ -136,15 +80,73 @@ bool HasNullAt(const Row& row, const std::vector<int>& idx) {
   return false;
 }
 
+// Output assembly shared by the join operators. Each output column copies
+// straight from the left (probe / outer) or the right (build / inner) row
+// through per-side copy lists; a residual predicate is evaluated over the
+// concatenated left ++ right row, built in a reused scratch row.
+class JoinOutput {
+ public:
+  struct OutCopy {
+    int dst;  // output column
+    int src;  // index on the source side
+  };
+
+  // `left` / `right` are the layouts of the rows Emit receives.
+  void Bind(const Layout& left, const Layout& right, const ExprPtr& residual,
+            const Layout& output) {
+    std::vector<ColId> concat = left.cols();
+    concat.insert(concat.end(), right.cols().begin(), right.cols().end());
+    Layout concat_layout(std::move(concat));
+    residual_ = residual ? BindExpr(residual, concat_layout) : nullptr;
+    left_width_ = left.size();
+    width_ = output.size();
+    left_.clear();
+    right_.clear();
+    const std::vector<int> map = MappingTo(concat_layout, output);
+    for (size_t j = 0; j < map.size(); ++j) {
+      if (map[j] < left_width_) {
+        left_.push_back({static_cast<int>(j), map[j]});
+      } else {
+        right_.push_back({static_cast<int>(j), map[j] - left_width_});
+      }
+    }
+  }
+
+  bool has_residual() const { return residual_ != nullptr; }
+  // Output columns copied from the left row.
+  const std::vector<OutCopy>& left_copies() const { return left_; }
+
+  // Appends the join of (l, r) to `out` unless the residual rejects it.
+  void Emit(const Row& l, const Row& r, RowBatch* out) {
+    if (residual_ != nullptr) {
+      concat_.resize(static_cast<size_t>(left_width_) + r.size());
+      std::copy(l.begin(), l.begin() + left_width_, concat_.begin());
+      std::copy(r.begin(), r.end(), concat_.begin() + left_width_);
+      if (!EvalPredicate(residual_, concat_)) return;
+    }
+    Row& dst = out->AppendSlot();
+    dst.resize(static_cast<size_t>(width_));
+    for (const OutCopy& c : left_) dst[c.dst] = l[c.src];
+    for (const OutCopy& c : right_) dst[c.dst] = r[c.src];
+  }
+
+ private:
+  ExprPtr residual_;
+  int left_width_ = 0;
+  int width_ = 0;
+  std::vector<OutCopy> left_;
+  std::vector<OutCopy> right_;
+  Row concat_;
+};
+
 // Open-addressed hash table over one uint64 key: maps key -> chain of ids
 // (power-of-two capacity, linear probing). The executor's one hash table.
 // As the batch engine's equi-join probe table the ids are build-row indexes:
 // the int fast path stores the exact int64 key bits (chains are per-key),
-// the generic path stores the RowKey hash (chains may interleave
+// the generic path stores the key hash (chains may interleave
 // hash-colliding keys; callers filter at emit). As the hash aggregation's
 // group table (ResetGroups / FindOrInsert) the ids are group ids, keyed the
-// same two ways. Building and probing do no per-row allocation, unlike the
-// RowKey map.
+// same two ways. Building and probing do no per-row allocation.
 //
 // Probes run per window through FindBatch (DESIGN.md §11): with prefetch
 // enabled it is an AMAC-style state machine — up to kInFlight lookups in
@@ -355,38 +357,17 @@ class ScanBase : public Operator {
   std::vector<int64_t> positions_;      // index-scan row positions
   bool use_positions_ = false;
   bool count_spool_reads_ = false;
-  ExprPtr bound_filter_;
   CompiledPredicate pred_;
   std::vector<int> map_;  // output col -> store col
   int64_t cursor_ = 0;
 
   void OpenScan(const Layout& storage_layout) {
     storage_layout_ = storage_layout;
-    bound_filter_ = node_.filter ? BindExpr(node_.filter, storage_layout)
-                                 : nullptr;
-    pred_ = CompiledPredicate::Compile(bound_filter_, *store_);
+    pred_ = CompiledPredicate::Compile(
+        node_.filter ? BindExpr(node_.filter, storage_layout) : nullptr,
+        *store_);
     map_ = MappingTo(storage_layout, node_.output);
     cursor_ = 0;
-  }
-
-  // Row mode stays the reference implementation: gather the row, evaluate
-  // the bound filter with EvalPredicate, remap.
-  bool NextImpl(Row* out) override {
-    int64_t limit = use_positions_ ? static_cast<int64_t>(positions_.size())
-                                   : store_->num_rows();
-    while (cursor_ < limit) {
-      int64_t r = use_positions_ ? positions_[cursor_] : cursor_;
-      ++cursor_;
-      ++ctx_->rows_scanned;
-      if (count_spool_reads_) ++ctx_->spool_rows_read;
-      store_->GetRow(r, &scratch_);
-      if (bound_filter_ != nullptr && !EvalPredicate(bound_filter_, scratch_)) {
-        continue;
-      }
-      *out = ApplyMapping(scratch_, map_);
-      return true;
-    }
-    return false;
   }
 
   bool NextBatchImpl(RowBatch* out) override {
@@ -465,17 +446,6 @@ class FilterOp : public Operator {
     identity_map_ = IsIdentityMapping(map_, child_layout.size());
   }
 
-  bool NextImpl(Row* out) override {
-    Row row;
-    while (child_->Next(&row)) {
-      if (EvalPredicate(bound_pred_, row)) {
-        *out = ApplyMapping(row, map_);
-        return true;
-      }
-    }
-    return false;
-  }
-
   bool NextBatchImpl(RowBatch* out) override {
     while (out->empty()) {
       if (!child_->NextBatch(&input_)) return false;
@@ -529,21 +499,17 @@ class HashJoinOp : public Operator {
       CHECK(ri >= 0) << "join key missing from build child layout";
       right_key_idx_.push_back(ri);
     }
-    build_.clear();
     build_rows_.clear();
-    std::vector<Row> build_rows;
-    DrainChild(right_.get(), &build_rows);
-    // The batch engine probes through the ChainTable in both flavors. The
-    // common single integer-backed join key (every TPC-H equi-join) stores
-    // the exact int64 key bits, skipping the variant dispatch of
+    DrainChild(right_.get(), &build_rows_);
+    // The common single integer-backed join key (every TPC-H equi-join)
+    // stores the exact int64 key bits, skipping the variant dispatch of
     // Value::Hash/Compare and all per-row allocation on both build and
     // probe. The generic path (multi-column, double, string keys) stores
-    // the RowKey hash; its chains may interleave hash-colliding keys, so
-    // emission filters through ChainKeysMatch. Row mode keeps the RowKey
-    // map as the plain reference implementation.
-    int_key_ = ctx_->mode == ExecMode::kBatch && right_key_idx_.size() == 1;
+    // the key hash; its chains may interleave hash-colliding keys, so
+    // emission filters through ChainKeysMatch.
+    int_key_ = right_key_idx_.size() == 1;
     if (int_key_) {
-      for (const Row& row : build_rows) {
+      for (const Row& row : build_rows_) {
         const Value& v = row[right_key_idx_[0]];
         if (!v.is_null() && (v.type() == DataType::kDouble ||
                              v.type() == DataType::kString)) {
@@ -552,37 +518,26 @@ class HashJoinOp : public Operator {
         }
       }
     }
-    if (ctx_->mode == ExecMode::kBatch) {
-      build_rows_ = std::move(build_rows);
-      std::vector<uint64_t> keys;
-      std::vector<int32_t> key_rows;
-      keys.reserve(build_rows_.size());
-      key_rows.reserve(build_rows_.size());
-      for (size_t i = 0; i < build_rows_.size(); ++i) {
-        const Row& row = build_rows_[i];
-        if (HasNullAt(row, right_key_idx_)) continue;  // nulls never join
-        keys.push_back(
-            int_key_
-                ? static_cast<uint64_t>(row[right_key_idx_[0]].AsInt64())
-                : static_cast<uint64_t>(HashRowAt(row, right_key_idx_)));
-        key_rows.push_back(static_cast<int32_t>(i));
-      }
-      table_.Build(keys.data(), key_rows.data(), static_cast<int>(keys.size()),
-                   static_cast<int>(build_rows_.size()), ctx_->prefetch);
-    } else {
-      build_.reserve(build_rows.size());
-      for (Row& row : build_rows) {
-        if (HasNullAt(row, right_key_idx_)) continue;  // nulls never join
-        RowKey key(ApplyMapping(row, right_key_idx_));
-        build_[std::move(key)].push_back(std::move(row));
-      }
+    std::vector<uint64_t> keys;
+    std::vector<int32_t> key_rows;
+    keys.reserve(build_rows_.size());
+    key_rows.reserve(build_rows_.size());
+    for (size_t i = 0; i < build_rows_.size(); ++i) {
+      const Row& row = build_rows_[i];
+      if (HasNullAt(row, right_key_idx_)) continue;  // nulls never join
+      keys.push_back(
+          int_key_ ? static_cast<uint64_t>(row[right_key_idx_[0]].AsInt64())
+                   : static_cast<uint64_t>(HashRowAt(row, right_key_idx_)));
+      key_rows.push_back(static_cast<int32_t>(i));
     }
+    table_.Build(keys.data(), key_rows.data(), static_cast<int>(keys.size()),
+                 static_cast<int>(build_rows_.size()), ctx_->prefetch);
 
     left_->Open();
     // Scan fusion: probe the left scan's backing rows in place. Probe-side
     // key indexes, the residual, and the output map then bind against the
     // scan's storage layout instead of its (never materialized) output.
-    fused_ = ctx_->mode == ExecMode::kBatch ? left_->AsScanSource() : nullptr;
+    fused_ = left_->AsScanSource();
     if (fused_ != nullptr) fused_->stats->fused = true;
     const Layout& left_layout =
         fused_ != nullptr ? fused_->storage : node_.children[0]->output;
@@ -593,28 +548,9 @@ class HashJoinOp : public Operator {
       CHECK(li >= 0) << "join key missing from probe child layout";
       left_key_idx_.push_back(li);
     }
-    // Concatenated layout for residual evaluation and output mapping.
-    std::vector<ColId> concat = left_layout.cols();
-    concat.insert(concat.end(), right_layout.cols().begin(),
-                  right_layout.cols().end());
-    Layout concat_layout(std::move(concat));
-    bound_residual_ = node_.join_residual
-                          ? BindExpr(node_.join_residual, concat_layout)
-                          : nullptr;
-    map_ = MappingTo(concat_layout, node_.output);
+    output_.Bind(left_layout, right_layout, node_.join_residual,
+                 node_.output);
     left_width_ = left_layout.size();
-    // Split the output map into per-side copy lists so the no-residual emit
-    // path copies straight from the source rows, without a per-column
-    // side branch.
-    out_left_.clear();
-    out_right_.clear();
-    for (size_t j = 0; j < map_.size(); ++j) {
-      if (map_[j] < left_width_) {
-        out_left_.push_back({static_cast<int>(j), map_[j]});
-      } else {
-        out_right_.push_back({static_cast<int>(j), map_[j] - left_width_});
-      }
-    }
 
     // Fused probes gather the probe row only when it has matches (and only
     // the columns the output copies), so filtered-out and matchless rows
@@ -622,15 +558,15 @@ class HashJoinOp : public Operator {
     // full storage-width row.
     left_gather_.clear();
     if (fused_ != nullptr) {
-      if (int_key_ && bound_residual_ == nullptr) {
-        for (const OutCopy& c : out_left_) left_gather_.push_back(c.src);
+      if (int_key_ && !output_.has_residual()) {
+        for (const JoinOutput::OutCopy& c : output_.left_copies()) {
+          left_gather_.push_back(c.src);
+        }
       } else {
         for (int i = 0; i < left_width_; ++i) left_gather_.push_back(i);
       }
     }
 
-    matches_ = nullptr;
-    match_idx_ = 0;
     chain_ = -1;
     cur_head_ = -1;
     cur_left_ = nullptr;
@@ -640,38 +576,6 @@ class HashJoinOp : public Operator {
     fcursor_ = 0;
     win_count_ = 0;
     win_idx_ = 0;
-  }
-
-  bool NextImpl(Row* out) override {
-    // Parents lacking a batch implementation (driven through the default
-    // NextBatch adapter) still pull row-wise while the tree runs in batch
-    // mode. OpenImpl's batch-mode bindings (fused storage layout, int64
-    // table) are only valid for the batch machinery, so route such pulls
-    // through it one row at a time.
-    if (ctx_->mode == ExecMode::kBatch) return NextRowViaBatch(out);
-    while (true) {
-      if (matches_ != nullptr && match_idx_ < matches_->size()) {
-        const Row& right_row = (*matches_)[match_idx_++];
-        Row concat = current_left_;
-        concat.insert(concat.end(), right_row.begin(), right_row.end());
-        if (bound_residual_ != nullptr &&
-            !EvalPredicate(bound_residual_, concat)) {
-          continue;
-        }
-        *out = ApplyMapping(concat, map_);
-        return true;
-      }
-      if (!left_->Next(&current_left_)) return false;
-      if (HasNullAt(current_left_, left_key_idx_)) {
-        matches_ = nullptr;
-        continue;
-      }
-      RowKeyRef ref{&current_left_, &left_key_idx_,
-                    HashRowAt(current_left_, left_key_idx_)};
-      auto it = build_.find(ref);
-      matches_ = it == build_.end() ? nullptr : &it->second;
-      match_idx_ = 0;
-    }
   }
 
   bool NextBatchImpl(RowBatch* out) override {
@@ -684,7 +588,7 @@ class HashJoinOp : public Operator {
           chain_ = table_.next[static_cast<size_t>(chain_)];
           // Generic-path chains are keyed by hash; drop colliding keys.
           if (!int_key_ && !ChainKeysMatch(*cur_left_, right)) continue;
-          Emit(*cur_left_, right, out);
+          output_.Emit(*cur_left_, right, out);
         } while (chain_ >= 0);
         continue;
       }
@@ -694,26 +598,10 @@ class HashJoinOp : public Operator {
   }
 
  private:
-  // Row-wise pull driven by a batch-mode parent without a batch
-  // implementation: same advance/probe/emit machinery as NextBatchImpl,
-  // yielding one row per call.
-  bool NextRowViaBatch(Row* out) {
-    while (true) {
-      if (chain_ >= 0) {
-        const Row& right = build_rows_[static_cast<size_t>(chain_)];
-        chain_ = table_.next[static_cast<size_t>(chain_)];
-        if (!int_key_ && !ChainKeysMatch(*cur_left_, right)) continue;
-        if (EmitRow(*cur_left_, right, out)) return true;
-        continue;
-      }
-      if (!AdvanceProbe()) return false;
-    }
-  }
-
   // Exact key equality between a probe row and a chained build row, with
-  // the same cross-type semantics the RowKey map used (KeyValueEq). Needed
-  // on the generic path only: its chains are keyed by hash, so rows whose
-  // keys collide share a chain.
+  // Value::Compare cross-type semantics (KeyValueEq). Needed on the generic
+  // path only: its chains are keyed by hash, so rows whose keys collide
+  // share a chain.
   bool ChainKeysMatch(const Row& left_row, const Row& right_row) const {
     for (size_t i = 0; i < left_key_idx_.size(); ++i) {
       if (!KeyValueEq(left_row[left_key_idx_[i]],
@@ -757,25 +645,6 @@ class HashJoinOp : public Operator {
       probe_scratch_[static_cast<size_t>(j)] = store.column(j).Get(row_id);
     }
     return &probe_scratch_;
-  }
-
-  // Row-interface counterpart of Emit: writes the joined row to `out`;
-  // false iff the residual rejected it.
-  bool EmitRow(const Row& left_row, const Row& right_row, Row* out) {
-    if (bound_residual_ == nullptr) {
-      out->resize(map_.size());
-      for (const OutCopy& c : out_left_) (*out)[c.dst] = left_row[c.src];
-      for (const OutCopy& c : out_right_) (*out)[c.dst] = right_row[c.src];
-      return true;
-    }
-    concat_.resize(static_cast<size_t>(left_width_) + right_row.size());
-    for (int i = 0; i < left_width_; ++i) concat_[i] = left_row[i];
-    for (size_t i = 0; i < right_row.size(); ++i) {
-      concat_[left_width_ + i] = right_row[i];
-    }
-    if (!EvalPredicate(bound_residual_, concat_)) return false;
-    *out = ApplyMapping(concat_, map_);
-    return true;
   }
 
   // Extracts the int64 fast-path key of a non-null value, mirroring
@@ -951,57 +820,28 @@ class HashJoinOp : public Operator {
     }
   }
 
-  // Appends the join of (left_row, right_row) to `out`. Without a residual
-  // the output columns copy straight from their source side; with one the
-  // concatenated row is materialized first (scratch buffer reused).
-  void Emit(const Row& left_row, const Row& right_row, RowBatch* out) {
-    if (bound_residual_ == nullptr) {
-      Row& dst = out->AppendSlot();
-      dst.resize(map_.size());
-      for (const OutCopy& c : out_left_) dst[c.dst] = left_row[c.src];
-      for (const OutCopy& c : out_right_) dst[c.dst] = right_row[c.src];
-      return;
-    }
-    concat_.resize(static_cast<size_t>(left_width_) + right_row.size());
-    for (int i = 0; i < left_width_; ++i) concat_[i] = left_row[i];
-    for (size_t i = 0; i < right_row.size(); ++i) {
-      concat_[left_width_ + i] = right_row[i];
-    }
-    if (!EvalPredicate(bound_residual_, concat_)) return;
-    out->AppendMapped(concat_, map_);
-  }
 
   const PhysicalNode& node_;
   std::unique_ptr<Operator> left_;
   std::unique_ptr<Operator> right_;
   std::vector<int> left_key_idx_;
   std::vector<int> right_key_idx_;
-  ExprPtr bound_residual_;
-  std::vector<int> map_;
-  struct OutCopy {
-    int dst;  // output column
-    int src;  // index on the source side
-  };
-  std::vector<OutCopy> out_left_;   // output columns copied from the left
-  std::vector<OutCopy> out_right_;  // output columns copied from the right
+  JoinOutput output_;
   int left_width_ = 0;
-  RowKeyMap<std::vector<Row>> build_;  // row-mode build table (reference)
-  // Batch-mode probe machinery: drained build rows + the ChainTable over
-  // them. int_key_ selects exact-int64 keys (per-key chains) vs. RowKey
-  // hashes (chains filtered through ChainKeysMatch at emit).
+  // Drained build rows + the ChainTable over them. int_key_ selects
+  // exact-int64 keys (per-key chains) vs. key hashes (chains filtered
+  // through ChainKeysMatch at emit).
   bool int_key_ = false;
-  std::vector<Row> build_rows_;  // build rows owned by the batch paths
+  std::vector<Row> build_rows_;
   ChainTable table_;
   int32_t chain_ = -1;     // next build-row index chained for cur_left_
   int32_t cur_head_ = -1;  // chain head resolved for the current probe row
-  // Row-at-a-time probe state.
-  Row current_left_;
   // Batched probe state.
   RowBatch probe_;
   int probe_idx_ = 0;
   std::vector<int32_t> batch_heads_;  // chain head per row of probe_
   std::vector<int> key_rows_;         // scratch: rows with probeable keys
-  const Row* cur_left_ = nullptr;     // probe row owning `chain_`/`matches_`
+  const Row* cur_left_ = nullptr;     // probe row owning `chain_`
   // Fused-scan probe state (filtered window over the scan's backing
   // columns; see FusedAdvance / GatherProbe).
   ScanSource* fused_ = nullptr;
@@ -1014,12 +854,11 @@ class HashJoinOp : public Operator {
   std::vector<int> left_gather_;    // store columns GatherProbe must fill
   Row probe_scratch_;               // gathered probe row (fused path)
   Row scratch_row_;                 // residual-eval scratch (FilterWindow)
-  Row concat_;  // reusable concat scratch row (residual path)
-  const std::vector<Row>* matches_ = nullptr;  // row-mode match list
-  size_t match_idx_ = 0;
 };
 
-// Nested-loop join with the right side materialized once.
+// Nested-loop join with the right side materialized once: every left row of
+// each input batch is paired with every right row, filtered by the
+// predicate. Resumes mid-pair when the output batch fills.
 class NlJoinOp : public Operator {
  public:
   NlJoinOp(const PhysicalNode& node, ExecContext* ctx)
@@ -1029,59 +868,48 @@ class NlJoinOp : public Operator {
         right_(BuildOperator(*node.children[1], ctx)) {}
 
   void OpenImpl() override {
-    const Layout& left_layout = node_.children[0]->output;
-    const Layout& right_layout = node_.children[1]->output;
-    std::vector<ColId> concat = left_layout.cols();
-    concat.insert(concat.end(), right_layout.cols().begin(),
-                  right_layout.cols().end());
-    Layout concat_layout(std::move(concat));
-    bound_pred_ = node_.nl_pred ? BindExpr(node_.nl_pred, concat_layout)
-                                : nullptr;
-    map_ = MappingTo(concat_layout, node_.output);
-
+    output_.Bind(node_.children[0]->output, node_.children[1]->output,
+                 node_.nl_pred, node_.output);
     right_rows_.clear();
     DrainChild(right_.get(), &right_rows_);
     left_->Open();
-    have_left_ = false;
+    input_.clear();
+    left_idx_ = 0;
     right_idx_ = 0;
   }
 
-  bool NextImpl(Row* out) override {
-    while (true) {
-      if (!have_left_) {
-        if (!left_->Next(&current_left_)) return false;
-        have_left_ = true;
+  bool NextBatchImpl(RowBatch* out) override {
+    while (!out->full()) {
+      if (left_idx_ >= input_.size()) {
+        if (!left_->NextBatch(&input_)) break;
+        left_idx_ = 0;
+      }
+      const Row& left = input_.row(left_idx_);
+      while (right_idx_ < right_rows_.size() && !out->full()) {
+        output_.Emit(left, right_rows_[right_idx_++], out);
+      }
+      if (right_idx_ == right_rows_.size()) {
+        ++left_idx_;
         right_idx_ = 0;
       }
-      while (right_idx_ < right_rows_.size()) {
-        const Row& right_row = right_rows_[right_idx_++];
-        Row concat = current_left_;
-        concat.insert(concat.end(), right_row.begin(), right_row.end());
-        if (bound_pred_ != nullptr && !EvalPredicate(bound_pred_, concat)) {
-          continue;
-        }
-        *out = ApplyMapping(concat, map_);
-        return true;
-      }
-      have_left_ = false;
     }
+    return !out->empty();
   }
 
  private:
   const PhysicalNode& node_;
   std::unique_ptr<Operator> left_;
   std::unique_ptr<Operator> right_;
-  ExprPtr bound_pred_;
-  std::vector<int> map_;
+  JoinOutput output_;
   std::vector<Row> right_rows_;
-  Row current_left_;
-  bool have_left_ = false;
-  size_t right_idx_ = 0;
+  RowBatch input_;        // current left batch
+  int left_idx_ = 0;      // its row being paired
+  size_t right_idx_ = 0;  // next right row to pair with it
 };
 
 // Sort-merge join: materializes and sorts both inputs on the join keys,
 // then merges equal-key ranges (cross product within a range, filtered by
-// the residual predicate).
+// the residual predicate). Resumes mid-range when the output batch fills.
 class MergeJoinOp : public Operator {
  public:
   MergeJoinOp(const PhysicalNode& node, ExecContext* ctx)
@@ -1102,14 +930,8 @@ class MergeJoinOp : public Operator {
       left_key_idx_.push_back(li);
       right_key_idx_.push_back(ri);
     }
-    std::vector<ColId> concat = left_layout.cols();
-    concat.insert(concat.end(), right_layout.cols().begin(),
-                  right_layout.cols().end());
-    Layout concat_layout(std::move(concat));
-    bound_residual_ = node_.join_residual
-                          ? BindExpr(node_.join_residual, concat_layout)
-                          : nullptr;
-    map_ = MappingTo(concat_layout, node_.output);
+    output_.Bind(left_layout, right_layout, node_.join_residual,
+                 node_.output);
 
     auto drain_sorted = [this](Operator* op, const std::vector<int>& keys,
                                std::vector<Row>* out) {
@@ -1133,30 +955,29 @@ class MergeJoinOp : public Operator {
     drain_sorted(left_.get(), left_key_idx_, &left_rows_);
     drain_sorted(right_.get(), right_key_idx_, &right_rows_);
     li_ = ri_ = 0;
-    range_li_ = range_lend_ = range_ri_ = range_rend_ = 0;
+    range_li_ = range_lend_ = range_rbegin_ = range_ri_ = range_rend_ = 0;
   }
 
-  bool NextImpl(Row* out) override {
-    while (true) {
-      // Emit from the current equal-key rectangle.
-      while (range_li_ < range_lend_) {
-        if (range_ri_ >= range_rend_) {
-          ++range_li_;
-          range_ri_ = range_rbegin_;
-          continue;
-        }
-        Row concat = left_rows_[range_li_];
-        const Row& r = right_rows_[range_ri_++];
-        concat.insert(concat.end(), r.begin(), r.end());
-        if (bound_residual_ != nullptr &&
-            !EvalPredicate(bound_residual_, concat)) {
-          continue;
-        }
-        *out = ApplyMapping(concat, map_);
-        return true;
+  bool NextBatchImpl(RowBatch* out) override {
+    while (!out->full()) {
+      if (range_li_ == range_lend_ && !NextRange()) break;
+      const Row& left = left_rows_[range_li_];
+      while (range_ri_ < range_rend_ && !out->full()) {
+        output_.Emit(left, right_rows_[range_ri_++], out);
       }
-      // Advance to the next equal-key range.
-      if (li_ >= left_rows_.size() || ri_ >= right_rows_.size()) return false;
+      if (range_ri_ == range_rend_) {
+        ++range_li_;
+        range_ri_ = range_rbegin_;
+      }
+    }
+    return !out->empty();
+  }
+
+ private:
+  // Advances to the next equal-key rectangle [range_li_, range_lend_) x
+  // [range_rbegin_, range_rend_); false when either input is exhausted.
+  bool NextRange() {
+    while (li_ < left_rows_.size() && ri_ < right_rows_.size()) {
       int c = CompareKeys(left_rows_[li_], right_rows_[ri_]);
       if (c < 0) {
         ++li_;
@@ -1182,10 +1003,11 @@ class MergeJoinOp : public Operator {
       range_rend_ = rend;
       li_ = lend;
       ri_ = rend;
+      return true;
     }
+    return false;
   }
 
- private:
   int CompareKeys(const Row& l, const Row& r) const {
     for (size_t i = 0; i < left_key_idx_.size(); ++i) {
       int c = l[left_key_idx_[i]].Compare(r[right_key_idx_[i]]);
@@ -1199,19 +1021,17 @@ class MergeJoinOp : public Operator {
   std::unique_ptr<Operator> right_;
   std::vector<int> left_key_idx_;
   std::vector<int> right_key_idx_;
-  ExprPtr bound_residual_;
-  std::vector<int> map_;
+  JoinOutput output_;
   std::vector<Row> left_rows_;
   std::vector<Row> right_rows_;
-  size_t li_ = 0, ri_ = 0;
+  size_t li_ = 0, ri_ = 0;  // merge cursors past the current range
   size_t range_li_ = 0, range_lend_ = 0;
   size_t range_rbegin_ = 0, range_ri_ = 0, range_rend_ = 0;
 };
 
 // Index nested-loop join: for every outer row, probes the inner base
 // table's sorted index at the join-key value; inner local predicates and
-// the residual are applied per match. Row-at-a-time only (chosen for
-// selective plans); batch mode uses the default adapter.
+// the residual are applied per match. Chosen for selective plans.
 class IndexNlJoinOp : public Operator {
  public:
   IndexNlJoinOp(const PhysicalNode& node, ExecContext* ctx)
@@ -1234,45 +1054,38 @@ class IndexNlJoinOp : public Operator {
     Layout inner_layout(node_.input_cols);
     bound_inner_filter_ =
         node_.filter ? BindExpr(node_.filter, inner_layout) : nullptr;
-    std::vector<ColId> concat = outer_layout.cols();
-    concat.insert(concat.end(), node_.input_cols.begin(),
-                  node_.input_cols.end());
-    Layout concat_layout(std::move(concat));
-    bound_residual_ = node_.join_residual
-                          ? BindExpr(node_.join_residual, concat_layout)
-                          : nullptr;
-    map_ = MappingTo(concat_layout, node_.output);
+    output_.Bind(outer_layout, inner_layout, node_.join_residual,
+                 node_.output);
     outer_->Open();
-    match_idx_ = 0;
+    input_.clear();
+    outer_idx_ = 0;
     matches_.clear();
+    match_idx_ = 0;
   }
 
-  bool NextImpl(Row* out) override {
-    while (true) {
-      while (match_idx_ < matches_.size()) {
-        node_.table->GetRow(matches_[match_idx_++], &inner_scratch_);
-        const Row& inner = inner_scratch_;
+  bool NextBatchImpl(RowBatch* out) override {
+    while (!out->full()) {
+      if (match_idx_ < matches_.size()) {
+        node_.table->GetRow(matches_[match_idx_++], &inner_);
         ++ctx_->rows_scanned;
         if (bound_inner_filter_ != nullptr &&
-            !EvalPredicate(bound_inner_filter_, inner)) {
+            !EvalPredicate(bound_inner_filter_, inner_)) {
           continue;
         }
-        Row concat = current_outer_;
-        concat.insert(concat.end(), inner.begin(), inner.end());
-        if (bound_residual_ != nullptr &&
-            !EvalPredicate(bound_residual_, concat)) {
-          continue;
-        }
-        *out = ApplyMapping(concat, map_);
-        return true;
+        output_.Emit(input_.row(outer_idx_ - 1), inner_, out);
+        continue;
       }
-      if (!outer_->Next(&current_outer_)) return false;
-      const Value& key = current_outer_[outer_key_idx_];
+      if (outer_idx_ >= input_.size()) {
+        if (!outer_->NextBatch(&input_)) break;
+        outer_idx_ = 0;
+      }
+      const Value& key = input_.row(outer_idx_++)[outer_key_idx_];
       matches_.clear();
       match_idx_ = 0;
       if (key.is_null()) continue;  // nulls never join
       matches_ = index_->RangeLookup(&key, true, &key, true);
     }
+    return !out->empty();
   }
 
  private:
@@ -1282,12 +1095,12 @@ class IndexNlJoinOp : public Operator {
   const SortedIndex* index_ = nullptr;
   SortedIndex::Pin index_pin_;
   ExprPtr bound_inner_filter_;
-  ExprPtr bound_residual_;
-  std::vector<int> map_;
-  Row current_outer_;
-  Row inner_scratch_;  // gathered inner row (columnar storage)
-  std::vector<int64_t> matches_;
+  JoinOutput output_;
+  RowBatch input_;                // current outer batch
+  int outer_idx_ = 0;             // next outer row to probe
+  std::vector<int64_t> matches_;  // inner rows of outer row outer_idx_ - 1
   size_t match_idx_ = 0;
+  Row inner_;  // gathered inner row (columnar storage)
 };
 
 // ----------------------------------------------------------- aggregation ---
@@ -1451,13 +1264,13 @@ struct AggState {
 // key check otherwise (multi-column and double keys, Value input). Null keys
 // group together. Aggregates accumulate into AggState's typed arrays.
 //
-// In batch mode over a scan (ScanSource) the aggregation fuses with it: each
-// window of the backing columns is filtered through the scan's compiled
-// kernels, the survivors' group ids are resolved in one pass, and
-// plain-column aggregates update straight from the column spans; a group's
-// key is the row id of its first row. Other input (join output in row
-// batches, row mode) feeds the same table and states through Values, and a
-// group's key is its first row's key Values.
+// Over a scan (ScanSource) the aggregation fuses with it: each window of
+// the backing columns is filtered through the scan's compiled kernels, the
+// survivors' group ids are resolved in one pass, and plain-column
+// aggregates update straight from the column spans; a group's key is the
+// row id of its first row. Other input (e.g. join output in row batches)
+// feeds the same table and states through Values, and a group's key is its
+// first row's key Values.
 class HashAggOp : public Operator {
  public:
   HashAggOp(const PhysicalNode& node, ExecContext* ctx)
@@ -1465,7 +1278,7 @@ class HashAggOp : public Operator {
 
   void OpenImpl() override {
     child_->Open();
-    fused_ = ctx_->mode == ExecMode::kBatch ? child_->AsScanSource() : nullptr;
+    fused_ = child_->AsScanSource();
     if (fused_ != nullptr) fused_->stats->fused = true;
     const Layout& input =
         fused_ != nullptr ? fused_->storage : node_.children[0]->output;
@@ -1493,25 +1306,16 @@ class HashAggOp : public Operator {
     if (group_idx_.empty()) NewGroup(-1);
     if (fused_ != nullptr) {
       AccumulateFused();
-    } else if (ctx_->mode == ExecMode::kBatch) {
+    } else {
       RowBatch batch;
       while (child_->NextBatch(&batch)) {
         AccumulateRows(&batch.row(0), batch.size());
       }
-    } else {
-      Row row;
-      while (child_->Next(&row)) AccumulateRows(&row, 1);
     }
     cursor_ = 0;
   }
 
   // Groups are emitted in id order straight from the aggregation state.
-  bool NextImpl(Row* out) override {
-    if (cursor_ >= num_groups_) return false;
-    EmitGroup(cursor_++, out);
-    return true;
-  }
-
   bool NextBatchImpl(RowBatch* out) override {
     while (!out->full() && cursor_ < num_groups_) {
       EmitGroup(cursor_++, &out->AppendSlot());
@@ -1704,8 +1508,8 @@ class HashAggOp : public Operator {
     return true;
   }
 
-  // Accumulates n Value rows (a batch, or one row in row mode), one row at
-  // a time so each row's Values are read while cached.
+  // Accumulates a batch of n Value rows, one row at a time so each row's
+  // Values are read while cached.
   void AccumulateRows(const Row* rows, int n) {
     for (int i = 0; i < n; ++i) {
       const Row& row = rows[i];
@@ -1820,16 +1624,6 @@ class ProjectOp : public Operator {
     for (int idx : map_) composed_.push_back(bound_[idx]);
   }
 
-  bool NextImpl(Row* out) override {
-    Row row;
-    if (!child_->Next(&row)) return false;
-    Row natural;
-    natural.reserve(bound_.size());
-    for (const ExprPtr& e : bound_) natural.push_back(EvalExpr(e, row));
-    *out = ApplyMapping(natural, map_);
-    return true;
-  }
-
   bool NextBatchImpl(RowBatch* out) override {
     if (!child_->NextBatch(&input_)) return false;
     for (int i = 0; i < input_.size(); ++i) {
@@ -1887,12 +1681,6 @@ class SortOp : public Operator {
     cursor_ = 0;
   }
 
-  bool NextImpl(Row* out) override {
-    if (cursor_ >= rows_.size()) return false;
-    *out = ApplyMapping(rows_[cursor_++], map_);
-    return true;
-  }
-
   bool NextBatchImpl(RowBatch* out) override {
     while (!out->full() && cursor_ < rows_.size()) {
       out->AppendMapped(rows_[cursor_++], map_);
@@ -1932,41 +1720,16 @@ Operator::Operator(ExecContext* ctx) : ctx_(ctx) {
 }
 
 void Operator::Open() {
-  if (!ctx_->time_operators) {
-    OpenImpl();
-    return;
-  }
   int64_t t0 = NowNanos();
   OpenImpl();
   stats_->open_ns += NowNanos() - t0;
 }
 
-bool Operator::Next(Row* out) {
-  bool ok;
-  if (ctx_->time_operators) {
-    int64_t t0 = NowNanos();
-    ok = NextImpl(out);
-    stats_->next_ns += NowNanos() - t0;
-  } else {
-    ok = NextImpl(out);
-  }
-  if (ok) {
-    ++stats_->rows_out;
-    if (stats_->parent != nullptr) ++stats_->parent->rows_in;
-  }
-  return ok;
-}
-
 bool Operator::NextBatch(RowBatch* out) {
   out->clear();
-  bool ok;
-  if (ctx_->time_operators) {
-    int64_t t0 = NowNanos();
-    ok = NextBatchImpl(out);
-    stats_->next_ns += NowNanos() - t0;
-  } else {
-    ok = NextBatchImpl(out);
-  }
+  int64_t t0 = NowNanos();
+  bool ok = NextBatchImpl(out);
+  stats_->next_ns += NowNanos() - t0;
   if (ok) {
     ++stats_->batches;
     stats_->rows_out += out->size();
@@ -1975,28 +1738,10 @@ bool Operator::NextBatch(RowBatch* out) {
   return ok;
 }
 
-bool Operator::NextBatchImpl(RowBatch* out) {
-  Row row;
-  while (!out->full()) {
-    if (!NextImpl(&row)) break;
-    out->AppendMove(std::move(row));
-    row = Row();
-  }
-  return !out->empty();
-}
-
 void Operator::DrainChild(Operator* child, std::vector<Row>* out) {
   child->Open();
-  if (ctx_->mode == ExecMode::kBatch) {
-    RowBatch batch;
-    while (child->NextBatch(&batch)) batch.MoveTo(out);
-  } else {
-    Row row;
-    while (child->Next(&row)) {
-      out->push_back(std::move(row));
-      row = Row();
-    }
-  }
+  RowBatch batch;
+  while (child->NextBatch(&batch)) batch.MoveTo(out);
 }
 
 std::unique_ptr<Operator> BuildOperator(const PhysicalNode& node,
@@ -2047,16 +1792,8 @@ std::vector<Row> RunToVector(const PhysicalNode& node, ExecContext* ctx) {
   std::unique_ptr<Operator> op = BuildOperator(node, ctx);
   op->Open();
   std::vector<Row> out;
-  if (ctx->mode == ExecMode::kBatch) {
-    RowBatch batch;
-    while (op->NextBatch(&batch)) batch.MoveTo(&out);
-  } else {
-    Row row;
-    while (op->Next(&row)) {
-      out.push_back(std::move(row));
-      row = Row();
-    }
-  }
+  RowBatch batch;
+  while (op->NextBatch(&batch)) batch.MoveTo(&out);
   return out;
 }
 

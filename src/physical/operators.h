@@ -4,16 +4,10 @@
 // layouts (e.g. the natural concatenation of join inputs) are remapped via
 // precomputed index vectors at Open() time.
 //
-// Operators expose two pull interfaces:
-//   - Next(Row*): the original row-at-a-time Volcano path, kept as the
-//     reference implementation and for selective plans.
-//   - NextBatch(RowBatch*): the vectorized path. Hot operators (scans,
-//     filter, hash join, hash aggregation, project, sort, spool scan)
-//     override it with batch-level implementations; everything else falls
-//     back to a default adapter that loops Next(), so operators migrate
-//     incrementally. A plan is driven in exactly one mode (ExecContext::mode)
-//     from root to leaves — the two interfaces share operator state and must
-//     not be interleaved on the same tree.
+// Operators expose one pull interface, NextBatch(RowBatch*): every operator
+// produces up to a batch of rows per call. The reference results they are
+// judged against come from the naive planner's plans (exec/naive_planner.h),
+// which join by sort-merge and nested loops only.
 #ifndef SUBSHARE_PHYSICAL_OPERATORS_H_
 #define SUBSHARE_PHYSICAL_OPERATORS_H_
 
@@ -27,38 +21,27 @@
 
 namespace subshare {
 
-// How a plan tree is pulled.
-enum class ExecMode {
-  kRowAtATime,  // Next(Row*) from root to leaves
-  kBatch,       // NextBatch(RowBatch*) from root to leaves
-};
-
 // Per-operator-instance execution counters, registered with the ExecContext
 // at build time (pre-order, so registration order prints as a plan tree).
-// Times are inclusive of children (wall time spent inside Open/Next calls of
-// this operator, which pull from its children).
+// Times are inclusive of children (wall time spent inside Open/NextBatch
+// calls of this operator, which pull from its children).
 struct OperatorStats {
   std::string label;   // operator kind, e.g. "HashJoin"
   std::string phase;   // which plan this operator belongs to ("cse 3", "stmt 0")
   int depth = 0;       // depth in its plan tree (for indented dumps)
   OperatorStats* parent = nullptr;
-  bool fused = false;  // scan consumed in place by its parent (batch mode)
+  bool fused = false;  // scan consumed in place by its parent
   int64_t rows_in = 0;    // rows pulled from children
   int64_t rows_out = 0;   // rows produced
-  int64_t batches = 0;    // batches produced (batch mode only)
+  int64_t batches = 0;    // batches produced
   int64_t open_ns = 0;    // inclusive wall ns spent in Open()
-  int64_t next_ns = 0;    // inclusive wall ns spent in Next()/NextBatch()
+  int64_t next_ns = 0;    // inclusive wall ns spent in NextBatch()
 };
 
-// Shared execution state: work tables for spooled CSE results, the pull
-// mode, and counters.
+// Shared execution state: work tables for spooled CSE results and
+// counters.
 struct ExecContext {
   WorkTableManager* work_tables = nullptr;
-  ExecMode mode = ExecMode::kBatch;
-  // When false, per-operator wall-clock timing is skipped (row-count
-  // counters stay on). Benchmarks comparing the two pull modes disable it
-  // so the row-at-a-time path is not penalized by per-row clock reads.
-  bool time_operators = true;
 
   // AMAC/group-prefetch interleaving in the batched hash-join probe (and
   // build-side bucket prefetch). Off = the straight-line reference loops;
@@ -93,7 +76,7 @@ struct ExecContext {
 class CompiledPredicate;
 
 // In-place access to an opened scan's backing columnar storage, used for
-// scan fusion in batch mode: consumers that only read their input
+// scan fusion: consumers that only read their input
 // (hash-join probe, hash aggregation) filter windows of the backing columns
 // through the scan's compiled predicate and gather only what they need —
 // instead of pulling fully materialized row copies through NextBatch.
@@ -116,24 +99,22 @@ class Operator {
 
   // Prepares the operator (binds expressions, materializes build sides).
   void Open();
-  // Produces the next row (in the node's output layout); false at end.
-  bool Next(Row* out);
-  // Clears `out` and fills it with up to out->capacity() rows. Returns
-  // false iff the operator is exhausted and no rows were produced; a true
-  // return implies out->size() >= 1.
+  // Clears `out` and fills it with up to out->capacity() rows (in the
+  // node's output layout). Returns false iff the operator is exhausted and
+  // no rows were produced; a true return implies out->size() >= 1. Open and
+  // NextBatch time themselves into the operator's stats (two clock reads
+  // per call).
   bool NextBatch(RowBatch* out);
-  // Non-null iff this operator is an opened scan over stable storage that a
-  // batch-mode parent may consume in place (see ScanSource).
+  // Non-null iff this operator is an opened scan over stable storage that
+  // its parent may consume in place (see ScanSource).
   virtual ScanSource* AsScanSource() { return nullptr; }
 
  protected:
   virtual void OpenImpl() = 0;
-  virtual bool NextImpl(Row* out) = 0;
-  // Default adapter: loops NextImpl until the batch is full.
-  virtual bool NextBatchImpl(RowBatch* out);
+  virtual bool NextBatchImpl(RowBatch* out) = 0;
 
-  // Drains `child` to completion honoring ctx_->mode (used by blocking
-  // operators that materialize an input in OpenImpl).
+  // Opens `child` and drains it to completion (used by blocking operators
+  // that materialize an input in OpenImpl).
   void DrainChild(Operator* child, std::vector<Row>* out);
 
   ExecContext* ctx_;
@@ -144,7 +125,7 @@ class Operator {
 std::unique_ptr<Operator> BuildOperator(const PhysicalNode& node,
                                         ExecContext* ctx);
 
-// Runs `node` to completion (honoring ctx->mode) and returns all rows.
+// Runs `node` to completion and returns all rows.
 std::vector<Row> RunToVector(const PhysicalNode& node, ExecContext* ctx);
 
 }  // namespace subshare

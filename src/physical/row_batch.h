@@ -67,17 +67,11 @@ class RowBatch {
     for (size_t j = 0; j < map.size(); ++j) dst[j] = src[map[j]];
   }
 
-  // Drops the most recently appended row (used when a residual predicate
-  // rejects an already-built output row).
-  void PopLast() {
-    DCHECK(size_ > 0);
-    --size_;
-  }
-
   // Moves the live rows into `out` (appending). Rows left behind are in a
-  // moved-from state; clear() makes the batch reusable.
+  // moved-from state; clear() makes the batch reusable. No reserve here:
+  // an exact-size reserve per batch would defeat the vector's geometric
+  // growth and make draining N rows quadratic.
   void MoveTo(std::vector<Row>* out) {
-    out->reserve(out->size() + static_cast<size_t>(size_));
     for (int i = 0; i < size_; ++i) out->push_back(std::move(rows_[i]));
   }
 

@@ -1,10 +1,20 @@
 #include "sql/lexer.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 
 #include "util/string_util.h"
 
 namespace subshare::sql {
+
+namespace {
+
+bool IsDigit(const std::string& sql, size_t i) {
+  return i < sql.size() && std::isdigit(static_cast<unsigned char>(sql[i]));
+}
+
+}  // namespace
 
 StatusOr<std::vector<Token>> Tokenize(const std::string& sql) {
   std::vector<Token> tokens;
@@ -31,24 +41,46 @@ StatusOr<std::vector<Token>> Tokenize(const std::string& sql) {
       }
       tok.type = TokenType::kIdent;
       tok.text = ToLower(sql.substr(start, i - start));
-    } else if (std::isdigit(static_cast<unsigned char>(c))) {
+    } else if (IsDigit(sql, i)) {
+      // digits [ '.' digits ] [ ('e' | 'E') [ '+' | '-' ] digits ]; a
+      // fraction or an exponent makes a kDouble.
       size_t start = i;
       bool is_double = false;
-      while (i < n && std::isdigit(static_cast<unsigned char>(sql[i]))) ++i;
-      if (i < n && sql[i] == '.' && i + 1 < n &&
-          std::isdigit(static_cast<unsigned char>(sql[i + 1]))) {
+      while (IsDigit(sql, i)) ++i;
+      if (i < n && sql[i] == '.' && IsDigit(sql, i + 1)) {
         is_double = true;
         ++i;
-        while (i < n && std::isdigit(static_cast<unsigned char>(sql[i]))) ++i;
+        while (IsDigit(sql, i)) ++i;
       }
-      std::string text = sql.substr(start, i - start);
-      tok.text = text;
+      if (i < n && (sql[i] == 'e' || sql[i] == 'E')) {
+        size_t digits = i + 1;
+        if (digits < n && (sql[digits] == '+' || sql[digits] == '-')) {
+          ++digits;
+        }
+        if (IsDigit(sql, digits)) {
+          is_double = true;
+          i = digits;
+          while (IsDigit(sql, i)) ++i;
+        }
+      }
+      tok.text = sql.substr(start, i - start);
+      const char* first = sql.data() + start;
+      const char* last = sql.data() + i;
+      std::from_chars_result parsed;
       if (is_double) {
         tok.type = TokenType::kDouble;
-        tok.double_value = std::stod(text);
+        parsed = std::from_chars(first, last, tok.double_value);
+        if (parsed.ec == std::errc() && !std::isfinite(tok.double_value)) {
+          parsed.ec = std::errc::result_out_of_range;
+        }
       } else {
         tok.type = TokenType::kInt;
-        tok.int_value = std::stoll(text);
+        parsed = std::from_chars(first, last, tok.int_value);
+      }
+      if (parsed.ec != std::errc() || parsed.ptr != last) {
+        return Status::InvalidArgument(StrFormat(
+            "numeric literal %s out of range at offset %d",
+            tok.text.c_str(), tok.position));
       }
     } else if (c == '\'') {
       ++i;

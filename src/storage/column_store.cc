@@ -154,21 +154,4 @@ int64_t ColumnStore::ByteSize() const {
   return bytes;
 }
 
-int64_t RowModelBytes(const ColumnStore& store) {
-  int64_t bytes = store.num_rows() * static_cast<int64_t>(sizeof(Row));
-  for (int c = 0; c < store.num_columns(); ++c) {
-    const Column& col = store.column(c);
-    bytes += store.num_rows() * static_cast<int64_t>(sizeof(Value));
-    if (col.type() == DataType::kString) {
-      for (int64_t i = 0; i < col.size(); ++i) {
-        if (!col.IsNull(i)) {
-          bytes +=
-              static_cast<int64_t>(col.dict().value(col.codes()[i]).size());
-        }
-      }
-    }
-  }
-  return bytes;
-}
-
 }  // namespace subshare

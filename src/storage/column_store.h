@@ -161,11 +161,6 @@ class ColumnStore {
   int64_t num_rows_ = 0;
 };
 
-// What the same contents would have cost in the pre-columnar row model
-// (vector<Row> of Values with inline string payloads) — reported alongside
-// true columnar footprints so spool-size wins are visible in benches.
-int64_t RowModelBytes(const ColumnStore& store);
-
 }  // namespace subshare
 
 #endif  // SUBSHARE_STORAGE_COLUMN_STORE_H_

@@ -169,7 +169,7 @@ class Table {
   const ColumnStore& columns() const { return data_; }
   int64_t row_count() const { return data_.num_rows(); }
 
-  // Materializes row `i` (row-mode executor paths, tests). Prefer the
+  // Materializes row `i` (index NL join inner rows, tests). Prefer the
   // columnar accessors in hot loops.
   void GetRow(int64_t i, Row* out) const { data_.GetRow(i, out); }
   Row GetRow(int64_t i) const { return data_.GetRow(i); }

@@ -1,14 +1,14 @@
-// Differential query checker: executes a SQL batch under all planner ×
-// executor configurations —
+// Differential query checker: executes a SQL batch under 1 + #strategies
+// configurations —
 //
-//     row-mode naive, batch-mode naive, and row + batch mode CSE for every
-//     configured enumeration strategy (§5.3 exhaustive by default; with a
-//     strategy sweep, greedy and approximate too)
+//     the naive reference plan (sort-merge and nested-loop joins only, so it
+//     shares no hash-table code with the plans it judges), and one CSE plan
+//     per configured enumeration strategy (§5.3 exhaustive by default; with
+//     a strategy sweep, greedy and approximate too)
 //
 // — and cross-checks that every statement produces the same result multiset
 // (the repo's central correctness property: CSE sharing must be invisible in
-// results regardless of which strategy picked the CSE set, and batch
-// execution must match the row-at-a-time reference).
+// results regardless of which strategy picked the CSE set).
 // CSE plans are additionally checked against the §5.2 cost/spool
 // invariants: every materialized candidate is read by at least two spool
 // scans, its initial cost C_E + C_W is charged exactly once (one
@@ -67,7 +67,7 @@ class DifferentialTester {
  public:
   explicit DifferentialTester(Catalog* catalog, DiffOptions options = {});
 
-  // Cross-checks one SQL batch. std::nullopt means all four configurations
+  // Cross-checks one SQL batch. std::nullopt means all configurations
   // agree (or the batch fails to bind — a bind error cannot diverge since
   // all configurations share the front end).
   std::optional<Divergence> Check(const std::string& sql);

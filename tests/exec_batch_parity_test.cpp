@@ -1,19 +1,21 @@
-// Row-at-a-time vs. batched execution parity.
+// Batch-plan parity against hash-free references.
 //
-// The two pull interfaces (Next / NextBatch) share operator state and must
-// produce identical results for every plan shape. This suite pins the paths
-// that have real divergence potential:
-//   - fused scans (batch-mode hash join probe / hash agg iterate the scan's
-//     backing storage in place instead of pulling gathered batches),
+// The executor has one pull interface (NextBatch); plans are judged against
+// plans that compute the same result through different join code. This
+// suite pins the paths that have real divergence potential:
+//   - fused scans (hash join probe / hash agg iterate the scan's backing
+//     storage in place instead of pulling gathered batches),
 //   - the single-int-key hash join fast path (exact int64 ChainTable keys)
 //     vs. the general hash-keyed path, including non-integral double and
-//     null join keys,
-//   - row pulls *inside* a batch-mode tree: operators without a batch
-//     override (e.g. nested-loop join, index NL join) drive their children
-//     through Next() even when ctx->mode == kBatch, so every batch operator
-//     must also serve its row interface under batch-mode bindings,
-//   - CSE spool write + multi-consumer spool read in both modes,
-//   - empty inputs, empty results, and residual join predicates,
+//     null join keys, with prefetch (AMAC probes) on and off,
+//   - every hand-built hash-join plan against the same plan with its hash
+//     joins swapped for merge joins and then nested-loop joins,
+//   - the nested-loop, merge and index nested-loop batch paths: null keys,
+//     residual predicates, empty inputs, an equal-key range whose cross
+//     product spans several output batches, and outer batches with
+//     matchless rows,
+//   - optimized SQL plans (CSE spool write + multi-consumer spool read,
+//     index scans on and off) against the naive planner's merge-join plans,
 //   - aggregation edge cases (null/-0.0 keys, type fidelity, expression
 //     arguments, fused and non-fused input) against an AggAccumulator
 //     reference.
@@ -57,8 +59,9 @@ std::vector<std::string> Canon(const std::vector<Row>& rows) {
 }
 
 // ---------------------------------------------------------------------------
-// SQL-level parity on TPC-H: optimize once, execute the same plan in both
-// modes (and against the naive reference), compare per-statement results.
+// SQL-level parity on TPC-H: optimized plans (index scans on and off)
+// against the naive planner's plans, which join by sort-merge and nested
+// loops only; compare per-statement results.
 
 const char* kBatches[] = {
     // Fused scan -> hash agg, dense filter windows.
@@ -69,7 +72,7 @@ const char* kBatches[] = {
     "select c_nationkey, sum(l_extendedprice) as rev from customer, orders, "
     "lineitem where c_custkey = o_custkey and o_orderkey = l_orderkey "
     "and o_orderdate < '1996-07-01' group by c_nationkey",
-    // Composite join key (two equi-columns): general RowKey path.
+    // Composite join key (two equi-columns): general hash-keyed path.
     "select count(*) as n from partsupp, lineitem where "
     "ps_partkey = l_partkey and ps_suppkey = l_suppkey",
     // Empty result set (predicate matches nothing).
@@ -78,7 +81,7 @@ const char* kBatches[] = {
     // Join with an empty build/probe side.
     "select count(*) as n from orders, lineitem where "
     "o_orderkey = l_orderkey and o_orderdate < '1970-01-01'",
-    // Order-by on top of a join (sort consumes the join in both modes).
+    // Order-by on top of a join (sort consumes the join).
     "select o_orderkey, sum(l_extendedprice) as rev from orders, lineitem "
     "where o_orderkey = l_orderkey and o_orderdate < '1992-06-01' "
     "group by o_orderkey order by rev desc",
@@ -114,20 +117,16 @@ class BatchParityTest : public ::testing::TestWithParam<int> {
 
 Catalog* BatchParityTest::catalog_ = nullptr;
 
-TEST_P(BatchParityTest, RowAndBatchModesAgree) {
+TEST_P(BatchParityTest, OptimizedPlansMatchMergeJoinReference) {
   const std::string batch = kBatches[GetParam()];
-  // Reference: naive plans, row-at-a-time.
+  // Reference: the naive plans (merge / nested-loop joins, no hash table).
   QueryContext naive_ctx(catalog_);
   auto naive_stmts = sql::BindSql(batch, &naive_ctx);
   ASSERT_TRUE(naive_stmts.ok()) << naive_stmts.status().ToString();
-  ExecOptions row_opts;
-  row_opts.mode = ExecMode::kRowAtATime;
-  auto reference = ExecutePlan(NaivePlanBatch(*naive_stmts, &naive_ctx),
-                               row_opts, nullptr);
+  auto reference = ExecutePlan(NaivePlanBatch(*naive_stmts, &naive_ctx));
 
-  // Index-NL plans drive batch-mode children through the row interface;
-  // hash-only plans stay on the vectorized operators. Both configurations
-  // must agree with the reference in both modes.
+  // Index scans on: index NL joins pull their outer side in batches;
+  // off: plans stay on scans, hash joins and hash aggregation.
   for (bool index_scans : {true, false}) {
     QueryContext ctx(catalog_);
     auto stmts = sql::BindSql(batch, &ctx);
@@ -137,18 +136,12 @@ TEST_P(BatchParityTest, RowAndBatchModesAgree) {
     CseQueryOptimizer optimizer(&ctx, options);
     CseMetrics metrics;
     ExecutablePlan plan = optimizer.Optimize(*stmts, &metrics);
-    ExecOptions batch_opts;
-    batch_opts.mode = ExecMode::kBatch;
-    auto row_results = ExecutePlan(plan, row_opts, nullptr);
-    auto batch_results = ExecutePlan(plan, batch_opts, nullptr);
+    auto results = ExecutePlan(plan);
 
-    ASSERT_EQ(row_results.size(), reference.size());
-    ASSERT_EQ(batch_results.size(), reference.size());
+    ASSERT_EQ(results.size(), reference.size());
     for (size_t i = 0; i < reference.size(); ++i) {
-      EXPECT_EQ(Canon(row_results[i].rows), Canon(reference[i].rows))
-          << "row mode, index_scans=" << index_scans << ", stmt " << i;
-      EXPECT_EQ(Canon(batch_results[i].rows), Canon(reference[i].rows))
-          << "batch mode, index_scans=" << index_scans << ", stmt " << i;
+      EXPECT_EQ(Canon(results[i].rows), Canon(reference[i].rows))
+          << "index_scans=" << index_scans << ", stmt " << i;
     }
   }
 }
@@ -158,7 +151,8 @@ INSTANTIATE_TEST_SUITE_P(AllBatches, BatchParityTest,
 
 // ---------------------------------------------------------------------------
 // Operator-level parity: hand-built plans over small tables with null keys,
-// fractional double keys, residual predicates, and row pulls in batch mode.
+// fractional double keys, residual predicates, and empty inputs, each run
+// against its hash-free join references.
 
 Schema KV(DataType key_type = DataType::kInt64) {
   Schema s;
@@ -175,23 +169,56 @@ PhysicalNodePtr Scan(const Table* table, const std::vector<ColId>& cols) {
   return scan;
 }
 
-std::vector<std::string> RunBothModes(const PhysicalNode& node) {
-  ExecContext row_ctx;
-  row_ctx.mode = ExecMode::kRowAtATime;
-  std::vector<std::string> row = Canon(RunToVector(node, &row_ctx));
-  // Batch mode must agree in both probe flavors: AMAC-interleaved
-  // (prefetch on) and the straight-line reference loops (prefetch off).
-  for (bool prefetch : {true, false}) {
-    ExecContext batch_ctx;
-    batch_ctx.mode = ExecMode::kBatch;
-    batch_ctx.prefetch = prefetch;
-    std::vector<std::string> batch = Canon(RunToVector(node, &batch_ctx));
-    EXPECT_EQ(row, batch) << "prefetch=" << prefetch;
-  }
-  return row;
+std::vector<std::string> RunCanon(const PhysicalNode& node, bool prefetch) {
+  ExecContext ctx;
+  ctx.prefetch = prefetch;
+  return Canon(RunToVector(node, &ctx));
 }
 
-// Null keys must never join, in either mode, on both hash-join paths.
+// `node` with every hash join replaced by a `kind` join on the same keys and
+// residual; a nested-loop join folds the key equalities into its predicate.
+PhysicalNodePtr SwapHashJoins(const PhysicalNode& node, PhysOpKind kind,
+                              const QueryContext& ctx) {
+  auto out = std::make_shared<PhysicalNode>(node);
+  for (PhysicalNodePtr& child : out->children) {
+    child = SwapHashJoins(*child, kind, ctx);
+  }
+  if (node.kind != PhysOpKind::kHashJoin) return out;
+  out->kind = kind;
+  if (kind == PhysOpKind::kNlJoin) {
+    std::vector<ExprPtr> conjuncts;
+    for (const auto& [l, r] : node.join_keys) {
+      conjuncts.push_back(
+          Expr::Compare(CmpOp::kEq, Expr::Column(l, ctx.columns().info(l).type),
+                        Expr::Column(r, ctx.columns().info(r).type)));
+    }
+    if (node.join_residual != nullptr) conjuncts.push_back(node.join_residual);
+    out->nl_pred = CombineConjuncts(conjuncts);
+    out->join_keys.clear();
+    out->join_residual = nullptr;
+  }
+  return out;
+}
+
+// Runs `node` with prefetch on and off — the AMAC-interleaved probe and the
+// straight-line reference loops — and checks both against the same plan
+// with its hash joins swapped for merge joins and for nested-loop joins.
+// Returns the (sorted, rendered) rows.
+std::vector<std::string> RunAgainstReferences(const PhysicalNode& node,
+                                              const QueryContext& ctx) {
+  std::vector<std::string> got = RunCanon(node, /*prefetch=*/true);
+  EXPECT_EQ(RunCanon(node, /*prefetch=*/false), got) << "prefetch off";
+  for (PhysOpKind kind : {PhysOpKind::kMergeJoin, PhysOpKind::kNlJoin}) {
+    PhysicalNodePtr reference = SwapHashJoins(node, kind, ctx);
+    for (bool prefetch : {true, false}) {
+      EXPECT_EQ(RunCanon(*reference, prefetch), got)
+          << PhysOpKindName(kind) << " reference, prefetch=" << prefetch;
+    }
+  }
+  return got;
+}
+
+// Null keys must never join, on any join path.
 TEST(ExecBatchParityTest, NullIntKeysNeverJoin) {
   Rng rng(11);
   Catalog catalog;
@@ -214,7 +241,7 @@ TEST(ExecBatchParityTest, NullIntKeysNeverJoin) {
   join->join_keys = {{lc[0], rc[0]}};
   join->children = {Scan(left, lc), Scan(right, rc)};
   join->output = Layout({lc[1], rc[1], lc[0]});
-  std::vector<std::string> rows = RunBothModes(*join);
+  std::vector<std::string> rows = RunAgainstReferences(*join, ctx);
   for (const std::string& r : rows) {
     EXPECT_EQ(r.find("NULL|"), std::string::npos)
         << "null key joined: " << r;
@@ -222,7 +249,7 @@ TEST(ExecBatchParityTest, NullIntKeysNeverJoin) {
 }
 
 // Fractional doubles disqualify the int-key fast path; integral doubles must
-// still match int64 keys exactly (Value::Compare semantics) in both modes.
+// still match int64 keys exactly (Value::Compare semantics).
 TEST(ExecBatchParityTest, DoubleKeysUseGeneralPath) {
   Catalog catalog;
   QueryContext ctx(&catalog);
@@ -241,10 +268,10 @@ TEST(ExecBatchParityTest, DoubleKeysUseGeneralPath) {
   join->join_keys = {{lc[0], rc[0]}};
   join->children = {Scan(left, lc), Scan(right, rc)};
   join->output = Layout({lc[1], rc[1]});
-  EXPECT_EQ(RunBothModes(*join).size(), 2u);
+  EXPECT_EQ(RunAgainstReferences(*join, ctx).size(), 2u);
 }
 
-// Residual predicates filter matches after the key lookup on both paths.
+// Residual predicates filter matches after the key lookup on every path.
 TEST(ExecBatchParityTest, ResidualPredicateParity) {
   Rng rng(23);
   Catalog catalog;
@@ -268,10 +295,11 @@ TEST(ExecBatchParityTest, ResidualPredicateParity) {
                                  Expr::Column(rc[1], DataType::kInt64));
   join->children = {Scan(left, lc), Scan(right, rc)};
   join->output = Layout({lc[1], rc[1]});
-  RunBothModes(*join);
+  EXPECT_GT(RunAgainstReferences(*join, ctx).size(), 0u);
 }
 
-// Empty build and empty probe sides terminate cleanly in both modes.
+// Empty build and empty probe sides terminate cleanly on every join path
+// (the index NL join's empty outer and empty inner included).
 TEST(ExecBatchParityTest, EmptyInputsParity) {
   Catalog catalog;
   QueryContext ctx(&catalog);
@@ -295,58 +323,33 @@ TEST(ExecBatchParityTest, EmptyInputsParity) {
       join->children = {Scan(full, fc), Scan(empty, ec)};
       join->output = Layout({fc[1], ec[1]});
     }
-    EXPECT_EQ(RunBothModes(*join).size(), 0u);
+    EXPECT_EQ(RunAgainstReferences(*join, ctx).size(), 0u);
+  }
+  empty->CreateIndex(0);
+  full->CreateIndex(0);
+  for (bool empty_outer : {true, false}) {
+    const Table* inner = empty_outer ? full : empty;
+    const std::vector<ColId>& oc = empty_outer ? ec : fc;
+    const std::vector<ColId>& ic = empty_outer ? fc : ec;
+    auto join = MakePhysical(PhysOpKind::kIndexNlJoin);
+    join->table = inner;
+    join->rel_id = empty_outer ? frel : erel;
+    join->input_cols = ic;
+    join->index_range.column_idx = 0;
+    join->join_keys = {{oc[0], ic[0]}};
+    join->children = {Scan(empty_outer ? empty : full, oc)};
+    join->output = Layout({oc[1], ic[1]});
+    EXPECT_EQ(RunCanon(*join, /*prefetch=*/true).size(), 0u)
+        << "empty_outer=" << empty_outer;
   }
 }
 
-// A batch-mode parent without a NextBatch override (nested-loop join) pulls
-// its children row by row even though ctx->mode == kBatch. The hash join
-// below it must serve Next() correctly while its bindings target the fused /
-// int-key batch machinery — the exact shape that once produced garbage.
-TEST(ExecBatchParityTest, RowPullInsideBatchModeTree) {
-  Rng rng(7);
-  Catalog catalog;
-  QueryContext ctx(&catalog);
-  Table* left = *catalog.CreateTable("l", KV());
-  Table* right = *catalog.CreateTable("r", KV());
-  Table* outer = *catalog.CreateTable("t", KV());
-  for (int i = 0; i < 60; ++i) {
-    left->AppendRow({Value::Int64(rng.Uniform(0, 6)),
-                     Value::Int64(rng.Uniform(0, 10))});
-    right->AppendRow({Value::Int64(rng.Uniform(0, 6)),
-                      Value::Int64(rng.Uniform(0, 10))});
-  }
-  for (int i = 0; i < 4; ++i) {
-    outer->AppendRow({Value::Int64(i), Value::Int64(i)});
-  }
-  int lrel = ctx.AddRelation(*left, "l");
-  int rrel = ctx.AddRelation(*right, "r");
-  int trel = ctx.AddRelation(*outer, "t");
-  auto lc = ctx.columns().RelationColumns(lrel);
-  auto rc = ctx.columns().RelationColumns(rrel);
-  auto tc = ctx.columns().RelationColumns(trel);
-
-  auto hash = MakePhysical(PhysOpKind::kHashJoin);
-  hash->join_keys = {{lc[0], rc[0]}};
-  hash->children = {Scan(left, lc), Scan(right, rc)};
-  hash->output = Layout({lc[1], rc[1]});
-
-  auto nlj = MakePhysical(PhysOpKind::kNlJoin);
-  nlj->nl_pred = Expr::Compare(CmpOp::kEq,
-                               Expr::Column(lc[1], DataType::kInt64),
-                               Expr::Column(tc[0], DataType::kInt64));
-  nlj->children = {std::move(hash), Scan(outer, tc)};
-  nlj->output = Layout({lc[1], rc[1], tc[1]});
-  RunBothModes(*nlj);
-}
-
-// The CLAUDE.md batch/row-pull gotcha, aimed at the AMAC probe: a batch-mode
-// NL-join parent (no NextBatch override) pulls the hash join row by row
-// while the join's bindings target the windowed FindBatch machinery. The
-// composite two-column key forces the generic path, whose ChainTable chains
-// are keyed by hash and filtered at emit — both prefetch flavors must agree
-// with row mode (RunBothModes runs batch with prefetch on and off).
-TEST(ExecBatchParityTest, RowPullOverPrefetchingCompositeKeyJoin) {
+// A nested-loop join whose left input is a hash join on a composite
+// two-column key (the generic path: ChainTable chains keyed by hash and
+// filtered at emit): the NL join's batch path pairs each pulled batch with
+// its materialized right side, and the whole tree must agree with its
+// merge- and NL-join references.
+TEST(ExecBatchParityTest, NlJoinOverCompositeKeyHashJoin) {
   Rng rng(67);
   Catalog catalog;
   QueryContext ctx(&catalog);
@@ -387,13 +390,14 @@ TEST(ExecBatchParityTest, RowPullOverPrefetchingCompositeKeyJoin) {
                                Expr::Column(tc[0], DataType::kInt64));
   nlj->children = {std::move(hash), Scan(outer, tc)};
   nlj->output = Layout({lc[2], rc[2], tc[1]});
-  EXPECT_GT(RunBothModes(*nlj).size(), 0u);
+  EXPECT_GT(RunAgainstReferences(*nlj, ctx).size(), 0u);
 }
 
 // Merge join drains, null-filters, and sorts both sides itself; null keys
 // must not pair up (null Compare()s equal to null) and the residual applies
-// inside equal-key rectangles — in both modes, agreeing with the hash join.
-TEST(ExecBatchParityTest, MergeJoinNullKeysAndResidualParity) {
+// inside equal-key rectangles. The NL join evaluates the key equality and
+// the residual as one predicate. Both agree with the hash join.
+TEST(ExecBatchParityTest, MergeAndNlJoinNullKeysAndResidual) {
   Rng rng(31);
   Catalog catalog;
   QueryContext ctx(&catalog);
@@ -411,28 +415,81 @@ TEST(ExecBatchParityTest, MergeJoinNullKeysAndResidualParity) {
   int rrel = ctx.AddRelation(*right, "r");
   auto lc = ctx.columns().RelationColumns(lrel);
   auto rc = ctx.columns().RelationColumns(rrel);
-  auto make_join = [&](PhysOpKind kind) {
-    auto join = MakePhysical(kind);
-    join->join_keys = {{lc[0], rc[0]}};
-    join->join_residual = Expr::Compare(CmpOp::kLt,
-                                        Expr::Column(lc[1], DataType::kInt64),
-                                        Expr::Column(rc[1], DataType::kInt64));
-    join->children = {Scan(left, lc), Scan(right, rc)};
-    join->output = Layout({lc[0], lc[1], rc[1]});
-    return join;
-  };
-  std::vector<std::string> merge = RunBothModes(*make_join(PhysOpKind::kMergeJoin));
-  std::vector<std::string> hash = RunBothModes(*make_join(PhysOpKind::kHashJoin));
-  EXPECT_EQ(merge, hash);
-  for (const std::string& r : merge) {
+  auto join = MakePhysical(PhysOpKind::kHashJoin);
+  join->join_keys = {{lc[0], rc[0]}};
+  join->join_residual = Expr::Compare(CmpOp::kLt,
+                                      Expr::Column(lc[1], DataType::kInt64),
+                                      Expr::Column(rc[1], DataType::kInt64));
+  join->children = {Scan(left, lc), Scan(right, rc)};
+  join->output = Layout({lc[0], lc[1], rc[1]});
+  std::vector<std::string> rows = RunAgainstReferences(*join, ctx);
+  EXPECT_GT(rows.size(), 0u);
+  for (const std::string& r : rows) {
     EXPECT_NE(r.substr(0, 5), "NULL|") << "null key joined: " << r;
   }
 }
 
-// Index NL join probes a base-table sorted index per outer row and has no
-// batch override, so in batch mode the default adapter drives it row-wise
-// over batch-bound children. Null outer keys must probe nothing.
-TEST(ExecBatchParityTest, IndexNlJoinNullOuterKeysParity) {
+// One equal-key range whose cross product (60 x 60 = 3600 pairs) spans
+// several 1024-row output batches: the merge and NL joins resume mid-range
+// and never overfill a batch; every pair comes out exactly once.
+TEST(ExecBatchParityTest, LargeEqualKeyRangeSpansBatches) {
+  Catalog catalog;
+  QueryContext ctx(&catalog);
+  Table* left = *catalog.CreateTable("l", KV());
+  Table* right = *catalog.CreateTable("r", KV());
+  for (int i = 0; i < 60; ++i) {
+    left->AppendRow({Value::Int64(7), Value::Int64(i)});
+    right->AppendRow({Value::Int64(7), Value::Int64(100 + i)});
+  }
+  left->AppendRow({Value::Int64(3), Value::Int64(-1)});  // no partner
+  right->CreateIndex(0);
+  int lrel = ctx.AddRelation(*left, "l");
+  int rrel = ctx.AddRelation(*right, "r");
+  auto lc = ctx.columns().RelationColumns(lrel);
+  auto rc = ctx.columns().RelationColumns(rrel);
+  auto join = MakePhysical(PhysOpKind::kHashJoin);
+  join->join_keys = {{lc[0], rc[0]}};
+  join->children = {Scan(left, lc), Scan(right, rc)};
+  join->output = Layout({lc[1], rc[1]});
+  std::vector<std::string> rows = RunAgainstReferences(*join, ctx);
+  EXPECT_EQ(rows.size(), 3600u);
+  EXPECT_EQ(std::adjacent_find(rows.begin(), rows.end()), rows.end())
+      << "a pair was emitted twice";
+
+  auto inl = MakePhysical(PhysOpKind::kIndexNlJoin);
+  inl->table = right;
+  inl->rel_id = rrel;
+  inl->input_cols = rc;
+  inl->index_range.column_idx = 0;
+  inl->join_keys = {{lc[0], rc[0]}};
+  inl->children = {Scan(left, lc)};
+  inl->output = Layout({lc[1], rc[1]});
+  for (const PhysicalNodePtr& plan :
+       {SwapHashJoins(*join, PhysOpKind::kMergeJoin, ctx),
+        SwapHashJoins(*join, PhysOpKind::kNlJoin, ctx), inl}) {
+    ExecContext ectx;
+    std::unique_ptr<Operator> op = BuildOperator(*plan, &ectx);
+    op->Open();
+    RowBatch batch;
+    int64_t total = 0;
+    int batches = 0;
+    while (op->NextBatch(&batch)) {
+      EXPECT_LE(batch.size(), batch.capacity()) << PhysOpKindName(plan->kind);
+      total += batch.size();
+      ++batches;
+    }
+    EXPECT_EQ(total, 3600) << PhysOpKindName(plan->kind);
+    EXPECT_GE(batches, 4) << PhysOpKindName(plan->kind);
+  }
+  ExecContext ectx;
+  EXPECT_EQ(Canon(RunToVector(*inl, &ectx)), rows);
+}
+
+// Index NL join probes a base-table sorted index per outer row. Null outer
+// keys must probe nothing; the inner filter and the residual apply per
+// match. Reference: the hash join of the same spec (inner filter folded
+// into the residual) and its merge / NL swaps.
+TEST(ExecBatchParityTest, IndexNlJoinNullOuterKeysAndResidual) {
   Rng rng(43);
   Catalog catalog;
   QueryContext ctx(&catalog);
@@ -450,26 +507,72 @@ TEST(ExecBatchParityTest, IndexNlJoinNullOuterKeysParity) {
   int irel = ctx.AddRelation(*inner, "i");
   auto oc = ctx.columns().RelationColumns(orel);
   auto ic = ctx.columns().RelationColumns(irel);
+  auto inner_lt_40 = Expr::Compare(CmpOp::kLt,
+                                   Expr::Column(ic[1], DataType::kInt64),
+                                   Expr::Literal(Value::Int64(40)));
+  auto residual = Expr::Compare(
+      CmpOp::kNe,
+      Expr::Arith(ArithOp::kAdd, Expr::Column(oc[1], DataType::kInt64),
+                  Expr::Column(ic[1], DataType::kInt64)),
+      Expr::Literal(Value::Int64(50)));
   auto join = MakePhysical(PhysOpKind::kIndexNlJoin);
   join->table = inner;
   join->rel_id = irel;
   join->input_cols = ic;
   join->index_range.column_idx = 0;
   join->join_keys = {{oc[0], ic[0]}};
-  join->filter = Expr::Compare(CmpOp::kLt, Expr::Column(ic[1], DataType::kInt64),
-                               Expr::Literal(Value::Int64(40)));
+  join->filter = inner_lt_40;
+  join->join_residual = residual;
   join->children = {Scan(outer, oc)};
   join->output = Layout({oc[0], oc[1], ic[1]});
 
-  // Reference: hash join of the same spec (inner filter as residual).
   auto href = MakePhysical(PhysOpKind::kHashJoin);
   href->join_keys = {{oc[0], ic[0]}};
-  href->join_residual = Expr::Compare(CmpOp::kLt,
-                                      Expr::Column(ic[1], DataType::kInt64),
-                                      Expr::Literal(Value::Int64(40)));
+  href->join_residual = CombineConjuncts({inner_lt_40, residual});
   href->children = {Scan(outer, oc), Scan(inner, ic)};
   href->output = Layout({oc[0], oc[1], ic[1]});
-  EXPECT_EQ(RunBothModes(*join), RunBothModes(*href));
+  std::vector<std::string> want = RunAgainstReferences(*href, ctx);
+  EXPECT_GT(want.size(), 0u);
+  for (bool prefetch : {true, false}) {
+    EXPECT_EQ(RunCanon(*join, prefetch), want) << "prefetch=" << prefetch;
+  }
+}
+
+// Outer batches in which most rows have no index match (keys 0..2499
+// against inner keys that are multiples of 7, in two-plus outer batches):
+// the index NL join skips matchless rows without ending the batch early.
+TEST(ExecBatchParityTest, IndexNlJoinOuterBatchWithMatchlessRows) {
+  Catalog catalog;
+  QueryContext ctx(&catalog);
+  Table* outer = *catalog.CreateTable("o", KV());
+  Table* inner = *catalog.CreateTable("i", KV());
+  for (int i = 0; i < 2500; ++i) {
+    outer->AppendRow({Value::Int64(i), Value::Int64(i)});
+  }
+  for (int i = 0; i < 2500; i += 7) {
+    inner->AppendRow({Value::Int64(i), Value::Int64(-i)});
+    inner->AppendRow({Value::Int64(i), Value::Int64(i)});
+  }
+  inner->CreateIndex(0);
+  int orel = ctx.AddRelation(*outer, "o");
+  int irel = ctx.AddRelation(*inner, "i");
+  auto oc = ctx.columns().RelationColumns(orel);
+  auto ic = ctx.columns().RelationColumns(irel);
+  auto join = MakePhysical(PhysOpKind::kIndexNlJoin);
+  join->table = inner;
+  join->rel_id = irel;
+  join->input_cols = ic;
+  join->index_range.column_idx = 0;
+  join->join_keys = {{oc[0], ic[0]}};
+  join->children = {Scan(outer, oc)};
+  join->output = Layout({oc[1], ic[1]});
+  auto href = MakePhysical(PhysOpKind::kHashJoin);
+  href->join_keys = {{oc[0], ic[0]}};
+  href->children = {Scan(outer, oc), Scan(inner, ic)};
+  href->output = Layout({oc[1], ic[1]});
+  std::vector<std::string> want = RunAgainstReferences(*href, ctx);
+  EXPECT_EQ(want.size(), 2u * ((2500 + 6) / 7));
+  EXPECT_EQ(RunCanon(*join, /*prefetch=*/true), want);
 }
 
 // Residual predicates over *fused* scans: both join children carry their own
@@ -506,7 +609,7 @@ TEST(ExecBatchParityTest, FusedScanFiltersWithResidualAndNulls) {
                                       Expr::Column(rc[1], DataType::kInt64));
   join->children = {std::move(lscan), std::move(rscan)};
   join->output = Layout({lc[0], lc[1], rc[1]});
-  std::vector<std::string> rows = RunBothModes(*join);
+  std::vector<std::string> rows = RunAgainstReferences(*join, ctx);
   for (const std::string& r : rows) {
     EXPECT_NE(r.substr(0, 5), "NULL|") << "null key joined: " << r;
   }
@@ -514,7 +617,7 @@ TEST(ExecBatchParityTest, FusedScanFiltersWithResidualAndNulls) {
 
 // Null group keys compare equal for aggregation, and integral doubles group
 // with themselves only (Value::Hash must agree with Compare for -0.0/0.0 and
-// 2.0); both modes must produce the same groups.
+// 2.0), with prefetch on and off.
 TEST(ExecBatchParityTest, NullAndDoubleGroupKeysParity) {
   Catalog catalog;
   QueryContext ctx(&catalog);
@@ -534,7 +637,8 @@ TEST(ExecBatchParityTest, NullAndDoubleGroupKeysParity) {
   agg->aggs = {{AggFn::kCount, nullptr, cnt}};
   agg->children = {Scan(t, cols)};
   agg->output = Layout({cols[0], cnt});
-  std::vector<std::string> rows = RunBothModes(*agg);
+  std::vector<std::string> rows = RunCanon(*agg, /*prefetch=*/true);
+  EXPECT_EQ(RunCanon(*agg, /*prefetch=*/false), rows);
   // 5 groups: {0.0 == -0.0}, {2.0}, {2.5}, {1e18}, {NULL}.
   EXPECT_EQ(rows.size(), 5u);
   for (const std::string& r : rows) {
@@ -546,10 +650,9 @@ TEST(ExecBatchParityTest, NullAndDoubleGroupKeysParity) {
 
 // ---------------------------------------------------------------------------
 // Aggregation edge cases against an AggAccumulator reference. Every shape
-// runs fused (HashAgg straight over the scan: batch mode reads the columns
-// in place) and non-fused (a pass-through Filter in between feeds Values,
-// like join output), each in row mode and in batch mode with prefetch on
-// and off. Values render with their type and doubles exactly (%a), so sums
+// runs fused (HashAgg straight over the scan reads the columns in place)
+// and non-fused (a pass-through Filter in between feeds Values, like join
+// output), each with prefetch on and off. Values render with their type and doubles exactly (%a), so sums
 // must match bit for bit and min/max must keep their type.
 
 std::string Exact(const Value& v) {
@@ -583,20 +686,20 @@ std::vector<std::string> ExactRows(const std::vector<Row>& rows) {
   return out;
 }
 
-// Runs `node` in row mode and in batch mode with prefetch on and off; all
-// three must agree exactly.
-std::vector<std::string> RunAllModesExact(const PhysicalNode& node) {
-  ExecContext row_ctx;
-  row_ctx.mode = ExecMode::kRowAtATime;
-  std::vector<std::string> row = ExactRows(RunToVector(node, &row_ctx));
+// Runs `node` with prefetch on and off; both must agree exactly.
+std::vector<std::string> RunExact(const PhysicalNode& node) {
+  std::vector<std::string> rows;
   for (bool prefetch : {true, false}) {
-    ExecContext batch_ctx;
-    batch_ctx.mode = ExecMode::kBatch;
-    batch_ctx.prefetch = prefetch;
-    EXPECT_EQ(row, ExactRows(RunToVector(node, &batch_ctx)))
-        << "prefetch=" << prefetch;
+    ExecContext ctx;
+    ctx.prefetch = prefetch;
+    std::vector<std::string> got = ExactRows(RunToVector(node, &ctx));
+    if (prefetch) {
+      rows = std::move(got);
+    } else {
+      EXPECT_EQ(got, rows) << "prefetch off";
+    }
   }
-  return row;
+  return rows;
 }
 
 // id (never null), then nullable keys and arguments of every physical type:
@@ -751,7 +854,7 @@ TEST(ExecBatchParityTest, AggregationEdgeCasesMatchReference) {
         input = std::move(filter);
       }
       agg->children = {std::move(input)};
-      std::vector<std::string> got = RunAllModesExact(*agg);
+      std::vector<std::string> got = RunExact(*agg);
       EXPECT_EQ(got, ExactRows(ReferenceAgg(*t, layout, *agg)))
           << "keys=" << keys.size() << " fused=" << fused;
       // -0.0 and 0.0 share one group, keyed by whichever came first.
@@ -813,21 +916,17 @@ TEST(ExecBatchParityTest, ScalarAggOverFullyRejectingSpoolFilter) {
   };
   for (bool grouped : {false, true}) {
     ExecutablePlan plan = spool_agg(grouped);
-    for (ExecMode mode : {ExecMode::kRowAtATime, ExecMode::kBatch}) {
-      for (bool prefetch : {true, false}) {
-        ExecOptions opts;
-        opts.mode = mode;
-        opts.prefetch = prefetch;
-        ExecutionMetrics metrics;
-        std::vector<StatementResult> results = ExecutePlan(plan, opts, &metrics);
-        ASSERT_EQ(results.size(), 1u);
-        EXPECT_EQ(metrics.spool_rows_read, t->row_count());
-        std::vector<std::string> want;
-        if (!grouped) want = {"i:0|i:0|NULL|NULL|NULL|NULL|"};
-        EXPECT_EQ(ExactRows(results[0].rows), want)
-            << "grouped=" << grouped << " batch=" << (mode == ExecMode::kBatch)
-            << " prefetch=" << prefetch;
-      }
+    for (bool prefetch : {true, false}) {
+      ExecOptions opts;
+      opts.prefetch = prefetch;
+      ExecutionMetrics metrics;
+      std::vector<StatementResult> results = ExecutePlan(plan, opts, &metrics);
+      ASSERT_EQ(results.size(), 1u);
+      EXPECT_EQ(metrics.spool_rows_read, t->row_count());
+      std::vector<std::string> want;
+      if (!grouped) want = {"i:0|i:0|NULL|NULL|NULL|NULL|"};
+      EXPECT_EQ(ExactRows(results[0].rows), want)
+          << "grouped=" << grouped << " prefetch=" << prefetch;
     }
   }
 }

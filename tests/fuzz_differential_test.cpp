@@ -1,7 +1,7 @@
 // Differential fuzzing harness as a ctest target:
 //   - replays the checked-in regression corpus (tests/corpus/*.sql),
 //   - runs seeded random query batches (>= 500 statements by default)
-//     under row/batch × naive/CSE and cross-checks results and the §5.2
+//     (naive reference vs. CSE plan) and cross-checks results and the §5.2
 //     cost/spool plan invariants,
 //   - sweeps the enumeration strategies (exhaustive/greedy/approximate)
 //     over the corpus and random batches, cross-checking every strategy's
@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/cse_optimizer.h"
+#include "exec/naive_planner.h"
 #include "sql/binder.h"
 #include "testing/cache_differential.h"
 #include "testing/differential.h"
@@ -88,16 +89,15 @@ TEST_F(FuzzDifferentialTest, RandomBatches) {
         << "seed " << seed << ":\n"
         << d->ToString();
   }
-  // The acceptance bar: >= 500 statements across all four configurations
-  // (only meaningful at the default batch count).
+  // The acceptance bar: >= 500 statements checked (only meaningful at the default batch count).
   if (batches >= 250) {
     EXPECT_GE(tester.statements_checked(), 500);
   }
 }
 
 // Strategy sweep: every batch is planned once per enumeration strategy and
-// all plans are cross-checked (row + batch modes) against the naive
-// reference, plus the §5.2 plan invariants per strategy. Only the chosen
+// all plans are cross-checked against the naive reference, plus the §5.2
+// plan invariants per strategy. Only the chosen
 // CSE set may differ between strategies — results never.
 TEST_F(FuzzDifferentialTest, StrategySweepCorpusReplay) {
   std::vector<std::filesystem::path> files;
@@ -221,6 +221,28 @@ TEST_F(FuzzDifferentialTest, ShrinkCandidatesStayWellFormed) {
       EXPECT_TRUE(bound.ok()) << sql << "\n" << bound.status().ToString();
     }
   }
+}
+
+void CountJoins(const PhysicalNode& node, int* hash, int* merge) {
+  if (node.kind == PhysOpKind::kHashJoin) ++*hash;
+  if (node.kind == PhysOpKind::kMergeJoin) ++*merge;
+  for (const PhysicalNodePtr& c : node.children) CountJoins(*c, hash, merge);
+}
+
+// The naive reference shares no hash-join code with the plans it judges:
+// over generated batches it plans every equi-join as a sort-merge join.
+TEST_F(FuzzDifferentialTest, NaivePlanUsesNoHashJoin) {
+  int hash = 0, merge = 0;
+  for (int i = 0; i < 60; ++i) {
+    testing::QueryGenerator gen(catalog_, 2000000 + static_cast<uint64_t>(i));
+    QueryContext ctx(catalog_);
+    auto stmts = sql::BindSql(testing::ToSql(gen.NextBatch()), &ctx);
+    if (!stmts.ok()) continue;
+    ExecutablePlan plan = NaivePlanBatch(*stmts, &ctx);
+    CountJoins(*plan.root, &hash, &merge);
+  }
+  EXPECT_EQ(hash, 0);
+  EXPECT_GT(merge, 0) << "generated batches planned no equi-join";
 }
 
 // Regression for the §5.2 accounting rule: when subset re-optimization

@@ -8,6 +8,7 @@
 #include "exec/executor.h"
 #include "logical/query.h"
 #include "expr/column.h"
+#include "physical/row_batch.h"
 #include "util/rng.h"
 
 namespace subshare {
@@ -37,6 +38,26 @@ std::multiset<std::string> RowSet(const std::vector<Row>& rows) {
     out.insert(std::move(s));
   }
   return out;
+}
+
+// Draining a stream batch by batch must keep the result vector's geometric
+// growth: an exact-size reserve per batch reallocates (and moves every row
+// collected so far) on each of the 512 batches.
+TEST(OperatorsTest, RowBatchMoveToGrowsGeometrically) {
+  RowBatch batch;
+  std::vector<Row> out;
+  int reallocations = 0;
+  const int kBatches = 512;
+  for (int b = 0; b < kBatches; ++b) {
+    batch.clear();
+    while (!batch.full()) batch.AppendSlot() = Row{Value::Int64(b)};
+    const size_t capacity = out.capacity();
+    batch.MoveTo(&out);
+    if (out.capacity() != capacity) ++reallocations;
+  }
+  EXPECT_EQ(out.size(), static_cast<size_t>(kBatches) * batch.capacity());
+  EXPECT_EQ(out.back()[0].AsInt64(), kBatches - 1);
+  EXPECT_LE(reallocations, 32);
 }
 
 class JoinEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};

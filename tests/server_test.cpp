@@ -67,6 +67,25 @@ TEST_F(ServerTest, ConnectTracksLiveSessions) {
   EXPECT_EQ(server.live_sessions(), 0);
 }
 
+// An out-of-range numeric literal is a clean error for the session that
+// sent it, not a throw that ends the process; the same session then runs a
+// valid batch.
+TEST_F(ServerTest, OutOfRangeLiteralLeavesSessionUsable) {
+  server::Server server(db_);
+  auto session = server.Connect();
+  for (const char* bad :
+       {"select n_name from nation where n_nationkey = 99999999999999999999",
+        "select 1e999 from region"}) {
+    auto result = session->Execute(bad, CachedOptions());
+    ASSERT_FALSE(result.ok()) << bad;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+  auto ok = session->Execute(kSharedBatch, CachedOptions());
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->statements.size(), 2u);
+  EXPECT_FALSE(ok->statements[0].rows.empty());
+}
+
 TEST_F(ServerTest, CrossSessionPlanAndSpoolSharing) {
   server::Server server(db_);
   auto a = server.Connect("a");

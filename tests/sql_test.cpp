@@ -45,6 +45,44 @@ TEST(LexerTest, Errors) {
   EXPECT_FALSE(Tokenize("select #").ok());
 }
 
+// Exponent literals lex as one kDouble token; a fraction-less integer stays
+// kInt up to the int64 limit.
+TEST(LexerTest, NumericLiterals) {
+  auto tokens = Tokenize("1e5 2.5E-3 7e+2 9223372036854775807 3e x1e5");
+  ASSERT_TRUE(tokens.ok()) << tokens.status().ToString();
+  std::vector<Token>& t = *tokens;
+  EXPECT_EQ(t[0].type, TokenType::kDouble);
+  EXPECT_DOUBLE_EQ(t[0].double_value, 1e5);
+  EXPECT_EQ(t[1].type, TokenType::kDouble);
+  EXPECT_DOUBLE_EQ(t[1].double_value, 2.5e-3);
+  EXPECT_EQ(t[2].type, TokenType::kDouble);
+  EXPECT_DOUBLE_EQ(t[2].double_value, 700);
+  EXPECT_EQ(t[3].type, TokenType::kInt);
+  EXPECT_EQ(t[3].int_value, INT64_MAX);
+  // "3e" has no exponent digits: the integer 3, then the identifier e.
+  EXPECT_EQ(t[4].type, TokenType::kInt);
+  EXPECT_EQ(t[4].int_value, 3);
+  EXPECT_EQ(t[5].type, TokenType::kIdent);
+  EXPECT_EQ(t[5].text, "e");
+  EXPECT_EQ(t[6].type, TokenType::kIdent);
+  EXPECT_EQ(t[6].text, "x1e5");
+}
+
+// Out-of-range literals are a clean InvalidArgument, never a throw.
+TEST(LexerTest, OutOfRangeNumericLiterals) {
+  for (const char* sql :
+       {"select n_name from nation where n_nationkey = 99999999999999999999",
+        "select 9223372036854775808 from region", "select 1e999 from region",
+        "select 2.5E+400 from region"}) {
+    auto tokens = Tokenize(sql);
+    ASSERT_FALSE(tokens.ok()) << sql;
+    EXPECT_EQ(tokens.status().code(), StatusCode::kInvalidArgument) << sql;
+    EXPECT_NE(tokens.status().message().find("out of range"),
+              std::string::npos)
+        << tokens.status().ToString();
+  }
+}
+
 TEST(ParserTest, Example1Query1Shape) {
   auto sel = ParseSelect(
       "select c_nationkey, c_mktsegment, sum(l_extendedprice) as le "
@@ -154,6 +192,24 @@ TEST_F(SqlBindTest, BindErrors) {
   EXPECT_FALSE(
       sql::BindSql("select n_name from nation having n_name = 'x'", &ctx)
           .ok());
+}
+
+// Exponent literals are doubles (never the integer 1 aliased "e2"), and an
+// out-of-range literal fails to bind.
+TEST_F(SqlBindTest, ExponentLiterals) {
+  std::vector<Row> rows = Run("select 1e2 as x from region");
+  ASSERT_EQ(rows.size(), 5u);
+  ASSERT_EQ(rows[0].size(), 1u);
+  EXPECT_EQ(rows[0][0].type(), DataType::kDouble);
+  EXPECT_DOUBLE_EQ(rows[0][0].AsDouble(), 100.0);
+  rows = Run("select r_name from region where r_regionkey < 2.5e0");
+  EXPECT_EQ(rows.size(), 3u);
+  QueryContext ctx(catalog_);
+  EXPECT_FALSE(sql::BindSql("select 1e999 from region", &ctx).ok());
+  EXPECT_FALSE(sql::BindSql("select n_name from nation where n_nationkey = "
+                            "99999999999999999999",
+                            &ctx)
+                   .ok());
 }
 
 // Malformed input found by fuzzing the front end: every case must produce a

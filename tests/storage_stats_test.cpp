@@ -274,6 +274,23 @@ TEST(ColumnTest, GetPreservesDeclaredType) {
   EXPECT_NE(i.Get(0).ToString(), dt.Get(0).ToString());
 }
 
+// What `store`'s contents would cost in a row model: a vector of Rows of
+// Values with inline string payloads.
+int64_t RowModelBytes(const ColumnStore& store) {
+  int64_t bytes = store.num_rows() * static_cast<int64_t>(sizeof(Row));
+  for (int c = 0; c < store.num_columns(); ++c) {
+    const Column& col = store.column(c);
+    bytes += store.num_rows() * static_cast<int64_t>(sizeof(Value));
+    if (col.type() != DataType::kString) continue;
+    for (int64_t i = 0; i < col.size(); ++i) {
+      if (!col.IsNull(i)) {
+        bytes += static_cast<int64_t>(col.dict().value(col.codes()[i]).size());
+      }
+    }
+  }
+  return bytes;
+}
+
 TEST(ColumnStoreTest, RowRoundTripAndDictCompression) {
   Schema s = IntDoubleStrSchema();
   ColumnStore store(s);
