@@ -24,26 +24,22 @@ bool IsCreationDescendant(const Memo& memo, GroupId maybe_desc,
   return false;
 }
 
-// Heuristic 4 containment (Definition 4.2): tables(c) ⊆ tables(p) and each
-// consumer of c descends from a consumer of p.
-bool Contained(const Memo& memo, const CseSpec& c, const CseSpec& p) {
-  std::set<TableId> tc(c.signature.tables.begin(), c.signature.tables.end());
-  std::set<TableId> tp(p.signature.tables.begin(), p.signature.tables.end());
-  if (!std::includes(tp.begin(), tp.end(), tc.begin(), tc.end())) {
-    return false;
-  }
-  for (GroupId gc : c.consumers) {
-    bool covered = false;
-    for (GroupId gp : p.consumers) {
-      if (IsDescendantGroup(memo, gc, gp)) {
-        covered = true;
-        break;
-      }
-    }
-    if (!covered) return false;
-  }
-  return true;
+// True if every table of `c` is a table of `p` (sorted, distinct).
+bool TablesIncluded(const std::vector<TableId>& c,
+                    const std::vector<TableId>& p) {
+  return std::includes(p.begin(), p.end(), c.begin(), c.end());
 }
+
+std::vector<TableId> SortedTables(const CseSpec& spec) {
+  std::set<TableId> tables(spec.signature.tables.begin(),
+                           spec.signature.tables.end());
+  return std::vector<TableId>(tables.begin(), tables.end());
+}
+
+// The exhaustive strategy costs every subset of a component of at most
+// this many candidates (pruned by Props 5.4–5.6); a larger component gets
+// the greedy loop.
+constexpr int kFullSubsetBits = 16;
 
 }  // namespace
 
@@ -78,6 +74,37 @@ EnumerationStrategy DefaultEnumerationStrategy() {
   return EnumerationStrategy::kExhaustive;
 }
 
+std::vector<uint64_t> InteractionComponents(
+    const std::vector<uint64_t>& statement_relevant,
+    const std::vector<uint64_t>& eval_relevant) {
+  const int n = static_cast<int>(eval_relevant.size());
+  std::vector<int> parent(n);
+  for (int i = 0; i < n; ++i) parent[i] = i;
+  auto find = [&](int i) {
+    while (parent[i] != i) i = parent[i] = parent[parent[i]];
+    return i;
+  };
+  // Every candidate in `mask` joins the component of `anchor`.
+  auto link = [&](int anchor, uint64_t mask) {
+    for (; mask != 0; mask &= mask - 1) {
+      int a = find(anchor);
+      int b = find(__builtin_ctzll(mask));
+      if (a != b) parent[std::max(a, b)] = std::min(a, b);
+    }
+  };
+  for (uint64_t mask : statement_relevant) {
+    if (mask != 0) link(__builtin_ctzll(mask), mask);
+  }
+  for (int i = 0; i < n; ++i) link(i, eval_relevant[i]);
+  std::vector<uint64_t> by_root(n, 0);
+  for (int i = 0; i < n; ++i) by_root[find(i)] |= 1ULL << i;
+  std::vector<uint64_t> components;
+  for (uint64_t mask : by_root) {
+    if (mask != 0) components.push_back(mask);
+  }
+  return components;
+}
+
 CseQueryOptimizer::CseQueryOptimizer(QueryContext* ctx,
                                      CseOptimizerOptions options)
     : ctx_(ctx),
@@ -108,18 +135,83 @@ PhysicalNodePtr CseQueryOptimizer::Enumerate(GroupId root, int n,
                                              PhysicalNodePtr normal_plan,
                                              Bitset64* best_set,
                                              CseMetrics* metrics) {
+  const uint64_t all = n >= 64 ? ~0ULL : (1ULL << n) - 1;
+  int opts = 0;
+  PhysicalNodePtr best;
   switch (options_.strategy) {
     case EnumerationStrategy::kExhaustive:
-      return EnumerateExhaustive(root, n, std::move(normal_plan), best_set,
-                                 metrics);
+      best = EnumerateComponents(root, n, std::move(normal_plan), best_set,
+                                 &opts, metrics->trace);
+      break;
     case EnumerationStrategy::kGreedy:
-      return EnumerateGreedy(root, n, std::move(normal_plan), best_set,
-                             metrics, /*lazy=*/false);
+      best = EnumerateGreedy(root, all, std::move(normal_plan), best_set,
+                             &opts, metrics->trace, /*lazy=*/false);
+      break;
     case EnumerationStrategy::kApproximate:
-      return EnumerateGreedy(root, n, std::move(normal_plan), best_set,
-                             metrics, /*lazy=*/true);
+      best = EnumerateGreedy(root, all, std::move(normal_plan), best_set,
+                             &opts, metrics->trace, /*lazy=*/true);
+      break;
   }
-  return normal_plan;
+  metrics->cse_optimizations = opts;
+  return best;
+}
+
+// Components are searched in order of their worst-case number of costed
+// sets (2^n - 1 subsets, or n(n+1)/2 greedy trials), so when the shared
+// max_optimizations budget runs out it truncates only the most expensive
+// search. Each component starts from the normal plan with every other
+// candidate disabled; benefits of different components add (DESIGN.md
+// §12), so the union of the per-component choices is the best set the
+// per-component searches can name, and it is costed once.
+PhysicalNodePtr CseQueryOptimizer::EnumerateComponents(
+    GroupId root, int n, PhysicalNodePtr normal_plan, Bitset64* best_set,
+    int* opts, OptTrace& trace) {
+  const Memo& memo = optimizer_->memo();
+  std::vector<uint64_t> statement_relevant;
+  for (GroupId s : optimizer_->statement_roots()) {
+    statement_relevant.push_back(memo.group(s).relevant_cses.Raw());
+  }
+  std::vector<uint64_t> eval_relevant;
+  for (int i = 0; i < n; ++i) {
+    eval_relevant.push_back(
+        memo.group(optimizer_->candidate(i).eval_group).relevant_cses.Raw());
+  }
+  std::vector<uint64_t> components =
+      InteractionComponents(statement_relevant, eval_relevant);
+  auto worst_case_sets = [](uint64_t component) {
+    const int k = __builtin_popcountll(component);
+    return k <= kFullSubsetBits ? (1 << k) - 1 : k * (k + 1) / 2;
+  };
+  std::stable_sort(components.begin(), components.end(),
+                   [&](uint64_t a, uint64_t b) {
+                     return worst_case_sets(a) < worst_case_sets(b);
+                   });
+
+  uint64_t chosen = 0;
+  for (uint64_t component : components) {
+    const bool subsets = __builtin_popcountll(component) <= kFullSubsetBits;
+    const int before = *opts;
+    Bitset64 component_best;
+    if (subsets) {
+      EnumerateSubsets(root, component, normal_plan, &component_best, opts,
+                       trace);
+    } else {
+      EnumerateGreedy(root, component, normal_plan, &component_best, opts,
+                      trace, /*lazy=*/false);
+    }
+    trace.components.push_back({component, subsets ? "exhaustive" : "greedy",
+                                *opts - before, component_best.Raw()});
+    chosen |= component_best.Raw();
+  }
+
+  *best_set = Bitset64();
+  if (chosen == 0) return normal_plan;
+  PhysicalNodePtr combined = optimizer_->BestPlan(root, Bitset64(chosen));
+  if (combined == nullptr || combined->est_cost >= normal_plan->est_cost) {
+    return normal_plan;
+  }
+  *best_set = Bitset64(chosen);
+  return combined;
 }
 
 // The greedy strategies grow the enabled set one candidate per round,
@@ -130,47 +222,41 @@ PhysicalNodePtr CseQueryOptimizer::Enumerate(GroupId root, int n,
 // the benefit measured the last time it was costed, which only shrinks as
 // the set grows — and the queue's max is re-costed and accepted outright
 // when its fresh benefit still dominates every other bound.
-PhysicalNodePtr CseQueryOptimizer::EnumerateGreedy(GroupId root, int n,
+PhysicalNodePtr CseQueryOptimizer::EnumerateGreedy(GroupId root, uint64_t pool,
                                                    PhysicalNodePtr normal_plan,
                                                    Bitset64* best_set,
-                                                   CseMetrics* metrics,
+                                                   int* opts, OptTrace& trace,
                                                    bool lazy) {
   PhysicalNodePtr best = normal_plan;
   *best_set = Bitset64();
-  OptTrace* trace = metrics != nullptr ? &metrics->trace : nullptr;
   uint64_t current = 0;
   uint64_t current_used = 0;
-  int opts = 0;
   int round = 0;
 
   auto try_candidate = [&](int c, double* delta_out,
                            PhysicalNodePtr* plan_out,
                            uint64_t* used_out) -> bool {
     // Costs current ∪ {c}; false when the cap is hit (not when infeasible).
-    if (opts >= options_.max_optimizations) {
-      if (trace != nullptr) trace->enumeration_capped = true;
+    if (*opts >= options_.max_optimizations) {
+      trace.enumeration_capped = true;
       return false;
     }
-    ++opts;
+    ++*opts;
     uint64_t s = current | (1ULL << c);
     PhysicalNodePtr plan = optimizer_->BestPlan(root, Bitset64(s));
     std::string note = StrFormat("%s round %d: +#%d",
                                  lazy ? "approximate" : "greedy", round, c);
     if (plan == nullptr) {
-      if (trace != nullptr) {
-        trace->enumeration.push_back({s, -1, 0, false, std::move(note)});
-      }
+      trace.enumeration.push_back({s, -1, 0, false, std::move(note)});
       *delta_out = -1;
       *plan_out = nullptr;
       return true;
     }
     *used_out = UsedMask(*plan, s);
     *delta_out = best->est_cost - plan->est_cost;
-    if (trace != nullptr) {
-      trace->enumeration.push_back(
-          {s, plan->est_cost, *used_out, false,
-           note + StrFormat(" (benefit %.2f)", *delta_out)});
-    }
+    trace.enumeration.push_back(
+        {s, plan->est_cost, *used_out, false,
+         note + StrFormat(" (benefit %.2f)", *delta_out)});
     *plan_out = std::move(plan);
     return true;
   };
@@ -179,18 +265,18 @@ PhysicalNodePtr CseQueryOptimizer::EnumerateGreedy(GroupId root, int n,
     current |= (1ULL << c);
     best = std::move(plan);
     current_used = used;
-    if (trace != nullptr && step_index < trace->enumeration.size()) {
-      OptTrace::EnumStep& step = trace->enumeration[step_index];
-      step.improved = true;
-      step.note += "  [accepted]";
-    }
+    OptTrace::EnumStep& step = trace.enumeration[step_index];
+    step.improved = true;
+    step.note += "  [accepted]";
   };
 
   if (!lazy) {
     // Volcano-MQO greedy: every round re-costs all remaining candidates
     // and admits the one with the largest positive incremental benefit.
-    std::vector<int> remaining(n);
-    for (int i = 0; i < n; ++i) remaining[i] = i;
+    std::vector<int> remaining;
+    for (uint64_t rest = pool; rest != 0; rest &= rest - 1) {
+      remaining.push_back(__builtin_ctzll(rest));
+    }
     bool capped = false;
     while (!remaining.empty() && !capped) {
       ++round;
@@ -212,7 +298,7 @@ PhysicalNodePtr CseQueryOptimizer::EnumerateGreedy(GroupId root, int n,
           best_delta = delta;
           pick = remaining[pos];
           pick_pos = pos;
-          pick_step = trace != nullptr ? trace->enumeration.size() - 1 : 0;
+          pick_step = trace.enumeration.size() - 1;
           pick_plan = std::move(plan);
           pick_used = used;
         }
@@ -229,7 +315,8 @@ PhysicalNodePtr CseQueryOptimizer::EnumerateGreedy(GroupId root, int n,
     using Entry = std::pair<double, int>;  // (stale benefit bound, id)
     std::priority_queue<Entry> queue;
     bool capped = false;
-    for (int c = 0; c < n && !capped; ++c) {
+    for (uint64_t rest = pool; rest != 0 && !capped; rest &= rest - 1) {
+      const int c = __builtin_ctzll(rest);
       ++round;
       double delta = 0;
       PhysicalNodePtr plan;
@@ -239,11 +326,9 @@ PhysicalNodePtr CseQueryOptimizer::EnumerateGreedy(GroupId root, int n,
         break;
       }
       if (plan == nullptr || delta <= 0) {
-        if (trace != nullptr) {
-          trace->prunes.push_back(
-              {StrFormat("candidate #%d", c), "KS",
-               "non-positive singleton benefit; pruned from the lattice"});
-        }
+        trace.prunes.push_back(
+            {StrFormat("candidate #%d", c), "KS",
+             "non-positive singleton benefit; pruned from the lattice"});
         continue;
       }
       queue.push({delta, c});
@@ -260,22 +345,16 @@ PhysicalNodePtr CseQueryOptimizer::EnumerateGreedy(GroupId root, int n,
         break;
       }
       if (plan == nullptr || delta <= 0) {
-        if (trace != nullptr) {
-          trace->prunes.push_back(
-              {StrFormat("candidate #%d", c), "KS",
-               "refreshed benefit non-positive; pruned from the lattice"});
-        }
+        trace.prunes.push_back(
+            {StrFormat("candidate #%d", c), "KS",
+             "refreshed benefit non-positive; pruned from the lattice"});
         continue;
       }
       if (queue.empty() || delta >= queue.top().first) {
         // Fresh benefit dominates every stale bound: accept without
         // re-costing the rest of the queue.
-        if (trace != nullptr) {
-          trace->skipped_stale_bound +=
-              static_cast<int64_t>(queue.size());
-        }
-        accept(c, std::move(plan), used,
-               trace != nullptr ? trace->enumeration.size() - 1 : 0);
+        trace.skipped_stale_bound += static_cast<int64_t>(queue.size());
+        accept(c, std::move(plan), used, trace.enumeration.size() - 1);
       } else {
         // Bound was stale; requeue with the (strictly smaller) fresh value.
         queue.push({delta, c});
@@ -284,137 +363,104 @@ PhysicalNodePtr CseQueryOptimizer::EnumerateGreedy(GroupId root, int n,
   }
 
   *best_set = Bitset64(current_used != 0 ? current_used : current);
-  if (metrics != nullptr) metrics->cse_optimizations = opts;
   return best;
 }
 
-PhysicalNodePtr CseQueryOptimizer::EnumerateExhaustive(
-    GroupId root, int n, PhysicalNodePtr normal_plan, Bitset64* best_set,
-    CseMetrics* metrics) {
-  PhysicalNodePtr best = normal_plan;
+void CseQueryOptimizer::EnumerateSubsets(GroupId root, uint64_t component,
+                                         const PhysicalNodePtr& normal_plan,
+                                         Bitset64* best_set, int* opts,
+                                         OptTrace& trace) {
+  double best_cost = normal_plan->est_cost;
   *best_set = Bitset64();
-  OptTrace* trace = metrics != nullptr ? &metrics->trace : nullptr;
 
-  // Independence matrix (Definition 5.2).
-  std::vector<std::vector<bool>> independent(n, std::vector<bool>(n, true));
-  for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      bool ind = !Competing(optimizer_->candidate(i),
-                            optimizer_->candidate(j));
-      independent[i][j] = independent[j][i] = ind;
+  // Competing members per member (Definition 5.2); T(S) below is the part
+  // of S independent of every other member of S.
+  std::vector<uint64_t> competing(Bitset64::kMaxBits, 0);
+  for (uint64_t a = component; a != 0; a &= a - 1) {
+    const int i = __builtin_ctzll(a);
+    for (uint64_t b = a & (a - 1); b != 0; b &= b - 1) {
+      const int j = __builtin_ctzll(b);
+      if (Competing(optimizer_->candidate(i), optimizer_->candidate(j))) {
+        competing[i] |= 1ULL << j;
+        competing[j] |= 1ULL << i;
+      }
     }
   }
   auto fully_independent_part = [&](uint64_t s) {
-    // T(S): members independent of every other member of S.
     uint64_t t = 0;
-    for (int i = 0; i < n; ++i) {
-      if (!(s >> i & 1)) continue;
-      bool ok = true;
-      for (int j = 0; j < n; ++j) {
-        if (j != i && (s >> j & 1) && !independent[i][j]) ok = false;
-      }
-      if (ok) t |= (1ULL << i);
+    for (uint64_t rest = s; rest != 0; rest &= rest - 1) {
+      const int i = __builtin_ctzll(rest);
+      if ((competing[i] & s) == 0) t |= 1ULL << i;
     }
     return t;
   };
 
-  // All non-empty subsets in descending size order (§5.3), except that
-  // singletons are promoted to run right after the full set: when the
-  // optimization cap truncates the enumeration for large N, the cheap
+  // All non-empty subsets of the component in descending size order
+  // (§5.3), except that singletons are promoted to run right after the full
+  // set: when the optimization cap truncates the enumeration, the cheap
   // single-candidate plans (the common winners) are still examined.
-  //
-  // Materializing all 2^n subsets is only feasible for small n; the
-  // candidate cap admits up to Bitset64::kMaxBits (64) of them. Past
-  // kFullSubsetBits the enumeration degrades gracefully to the prefix the
-  // optimization cap would reach anyway: the full set, every singleton,
-  // then every pair (still dominated by max_optimizations).
-  constexpr int kFullSubsetBits = 16;
   std::vector<uint64_t> subsets;
-  uint64_t full = (n >= 64) ? ~0ULL : ((1ULL << n) - 1);
-  if (n <= kFullSubsetBits) {
-    for (uint64_t s = 1; s <= full; ++s) subsets.push_back(s);
-    std::stable_sort(subsets.begin(), subsets.end(),
-                     [full](uint64_t a, uint64_t b) {
-                       auto rank = [full](uint64_t s) {
-                         if (s == full) return 1 << 20;
-                         int pop = __builtin_popcountll(s);
-                         if (pop == 1) return 1 << 19;  // promoted singletons
-                         return pop;
-                       };
-                       return rank(a) > rank(b);
-                     });
-  } else {
-    subsets.push_back(full);
-    for (int i = 0; i < n; ++i) subsets.push_back(1ULL << i);
-    for (int i = 0; i < n; ++i) {
-      for (int j = i + 1; j < n; ++j) {
-        subsets.push_back((1ULL << i) | (1ULL << j));
-      }
-    }
-    if (trace != nullptr) trace->enumeration_capped = true;
+  for (uint64_t s = component; s != 0; s = (s - 1) & component) {
+    subsets.push_back(s);
   }
+  std::reverse(subsets.begin(), subsets.end());
+  std::stable_sort(subsets.begin(), subsets.end(),
+                   [component](uint64_t a, uint64_t b) {
+                     auto rank = [component](uint64_t s) {
+                       if (s == component) return 1 << 20;
+                       int pop = __builtin_popcountll(s);
+                       if (pop == 1) return 1 << 19;  // promoted singletons
+                       return pop;
+                     };
+                     return rank(a) > rank(b);
+                   });
 
   std::set<uint64_t> processed;
   auto apply_props = [&](uint64_t s, uint64_t used) {
     // Prop 5.6: the plan returned under S is also optimal under `used`.
-    if (processed.insert(used).second && trace != nullptr && used != s) {
-      ++trace->skipped_prop56;
-    }
+    if (processed.insert(used).second && used != s) ++trace.skipped_prop56;
     // Props 5.4/5.5 for both S and used: any proper subset made only of
-    // the fully independent part can be skipped. Walking a base's subset
-    // chain is 2^popcount work — pointless (and ruinous) past the
-    // materialization bound above, where those subsets are never enumerated
-    // anyway.
+    // the fully independent part can be skipped.
     for (uint64_t base : {s, used}) {
-      if (__builtin_popcountll(base) > kFullSubsetBits) continue;
       uint64_t t = fully_independent_part(base);
       if (t == 0) continue;
       if (t == base) {
         // Prop 5.4: all members independent -> every subset is redundant.
         for (uint64_t sub = (base - 1) & base; sub != 0;
              sub = (sub - 1) & base) {
-          if (processed.insert(sub).second && trace != nullptr) {
-            ++trace->skipped_prop54;
-          }
+          if (processed.insert(sub).second) ++trace.skipped_prop54;
         }
       } else {
         // Prop 5.5: proper subsets of the independent part T.
         for (uint64_t sub = (t - 1) & t; sub != 0; sub = (sub - 1) & t) {
-          if (processed.insert(sub).second && trace != nullptr) {
-            ++trace->skipped_prop55;
-          }
+          if (processed.insert(sub).second) ++trace.skipped_prop55;
         }
       }
     }
   };
 
-  int opts = 0;
   for (uint64_t s : subsets) {
     if (processed.count(s) > 0) continue;
-    if (opts >= options_.max_optimizations) {
-      if (trace != nullptr) trace->enumeration_capped = true;
+    if (*opts >= options_.max_optimizations) {
+      trace.enumeration_capped = true;
       break;
     }
-    ++opts;
+    ++*opts;
     processed.insert(s);
     PhysicalNodePtr plan = optimizer_->BestPlan(root, Bitset64(s));
     if (plan == nullptr) {
-      if (trace != nullptr) trace->enumeration.push_back({s, -1, 0, false, ""});
+      trace.enumeration.push_back({s, -1, 0, false, ""});
       continue;
     }
     uint64_t used = UsedMask(*plan, s);
     apply_props(s, used);
-    bool improved = plan->est_cost < best->est_cost;
-    if (trace != nullptr) {
-      trace->enumeration.push_back({s, plan->est_cost, used, improved, ""});
-    }
+    bool improved = plan->est_cost < best_cost;
+    trace.enumeration.push_back({s, plan->est_cost, used, improved, ""});
     if (improved) {
-      best = plan;
+      best_cost = plan->est_cost;
       *best_set = Bitset64(used != 0 ? used : s);
     }
   }
-  if (metrics != nullptr) metrics->cse_optimizations = opts;
-  return best;
 }
 
 ExecutablePlan CseQueryOptimizer::Optimize(
@@ -468,14 +514,29 @@ ExecutablePlan CseQueryOptimizer::Optimize(
     return finish(normal_plan, Bitset64());
   }
 
-  // Heuristic 4: drop candidates contained in another candidate with a
-  // (nearly) smaller or equal result.
+  // Heuristic 4 (Definition 4.2): drop a candidate c contained in another
+  // candidate p — tables(c) ⊆ tables(p) and every consumer of c descends
+  // from a consumer of p — whose result is (nearly) no smaller. Each p's
+  // consumer descendants are collected once, on first use.
   if (options_.enable_heuristics) {
+    std::vector<std::vector<TableId>> tables;
+    for (const CseSpec& spec : specs) tables.push_back(SortedTables(spec));
+    std::vector<std::vector<bool>> below(specs.size());
+    auto contained = [&](size_t c, size_t p) {
+      if (!TablesIncluded(tables[c], tables[p])) return false;
+      if (below[p].empty()) {
+        below[p] = DescendantGroups(optimizer_->memo(), specs[p].consumers);
+      }
+      for (GroupId gc : specs[c].consumers) {
+        if (!below[p][gc]) return false;
+      }
+      return true;
+    };
     std::vector<bool> dead(specs.size(), false);
     for (size_t c = 0; c < specs.size(); ++c) {
       for (size_t p = 0; p < specs.size(); ++p) {
         if (c == p || dead[p]) continue;
-        if (Contained(optimizer_->memo(), specs[c], specs[p]) &&
+        if (contained(c, p) &&
             specs[c].bytes() > options_.beta * specs[p].bytes()) {
           dead[c] = true;
           m->pruned_descriptions.push_back(
@@ -494,32 +555,28 @@ ExecutablePlan CseQueryOptimizer::Optimize(
     specs = std::move(kept);
   }
 
-  // Enumeration cap: keep the most promising candidates, ranked by the
-  // §4.3.3-style net benefit estimate
-  //   Σ_i C_i^lower  -  (max_i C_i^lower + C_W + N * C_R).
-  // The cap is hard-clamped to Bitset64::kMaxBits: candidate ids become
-  // bit positions in the enabled-set masks, so id >= 64 would shift out of
-  // the mask (UB). Overflow past the clamp is recorded as
-  // candidates_dropped so a large merged batch (Volcano-MQO-sized) is
+  // Capacity clamp: candidate ids become bit positions in the enabled-set
+  // masks, so at most Bitset64::kMaxBits candidates survive (id >= 64 would
+  // shift out of the mask). Past that, the lowest §4.3.3-style net benefit
+  // estimates
+  //   Σ_i C_i^lower  -  (max_i C_i^lower + C_W + N * C_R)
+  // are dropped and counted in candidates_dropped, so an oversized batch is
   // visible in the trace instead of silently truncated.
-  const int cap = std::min(options_.max_candidates, Bitset64::kMaxBits);
-  if (static_cast<int>(specs.size()) > cap) {
+  if (static_cast<int>(specs.size()) > Bitset64::kMaxBits) {
     std::stable_sort(specs.begin(), specs.end(),
                      [&](const CseSpec& a, const CseSpec& b) {
                        return generator.NetBenefit(a) >
                               generator.NetBenefit(b);
                      });
-    m->trace.candidates_dropped += static_cast<int64_t>(specs.size()) - cap;
-    for (size_t i = static_cast<size_t>(cap); i < specs.size(); ++i) {
-      const bool over_capacity = static_cast<int>(i) < options_.max_candidates;
-      m->pruned_descriptions.push_back(specs[i].description +
-                                       " -- dropped by enumeration cap");
-      m->trace.prunes.push_back(
-          {specs[i].description, "cap",
-           over_capacity ? "beyond Bitset64 capacity (64 candidates)"
-                         : "lowest net benefit beyond max_candidates"});
+    m->trace.candidates_dropped +=
+        static_cast<int64_t>(specs.size()) - Bitset64::kMaxBits;
+    for (size_t i = Bitset64::kMaxBits; i < specs.size(); ++i) {
+      m->pruned_descriptions.push_back(
+          specs[i].description + " -- dropped beyond Bitset64 capacity");
+      m->trace.prunes.push_back({specs[i].description, "capacity",
+                                 "beyond Bitset64 capacity (64 candidates)"});
     }
-    specs.resize(static_cast<size_t>(cap));
+    specs.resize(Bitset64::kMaxBits);
   }
   m->candidates_after_pruning = static_cast<int>(specs.size());
   m->generate_seconds = generate_timer.ElapsedSeconds();
@@ -545,20 +602,22 @@ ExecutablePlan CseQueryOptimizer::Optimize(
   // may consume a strictly narrower candidate.
   manager.CollectSignatures();
   if (options_.enable_stacked) {
+    std::vector<std::vector<TableId>> tables;
+    for (const CseSpec& spec : specs) tables.push_back(SortedTables(spec));
     for (size_t j = 0; j < specs.size(); ++j) {
+      std::vector<GroupId> same_signature;
+      for (GroupId g = 0; g < optimizer_->memo().num_groups(); ++g) {
+        if (manager.signature(g) == specs[j].signature) {
+          same_signature.push_back(g);
+        }
+      }
       for (size_t i = 0; i < specs.size(); ++i) {
-        if (i == j) continue;
-        std::set<TableId> tj(specs[j].signature.tables.begin(),
-                             specs[j].signature.tables.end());
-        std::set<TableId> ti(specs[i].signature.tables.begin(),
-                             specs[i].signature.tables.end());
-        if (tj.size() >= ti.size() ||
-            !std::includes(ti.begin(), ti.end(), tj.begin(), tj.end())) {
+        if (i == j || tables[j].size() >= tables[i].size() ||
+            !TablesIncluded(tables[j], tables[i])) {
           continue;
         }
-        // Scan groups created under candidate i's evaluation tree.
-        for (GroupId g = 0; g < optimizer_->memo().num_groups(); ++g) {
-          if (!(manager.signature(g) == specs[j].signature)) continue;
+        // Groups created under candidate i's evaluation tree.
+        for (GroupId g : same_signature) {
           if (!IsCreationDescendant(optimizer_->memo(), g,
                                     artifacts[i].eval_root)) {
             continue;

@@ -8,14 +8,17 @@
 //   Step 3  candidates materialized as views, substitutes injected,
 //           stacked matches discovered (§5.5), and optimization resumed
 //           once per enabled candidate set, pruned by Propositions 5.4–5.6
-//           (§5.3); the cheapest plan over all runs (including the no-CSE
-//           plan) wins.
+//           (§5.3) and searched per component of the candidate
+//           interaction graph; the cheapest plan over all runs (including
+//           the no-CSE plan) wins.
 #ifndef SUBSHARE_CORE_CSE_OPTIMIZER_H_
 #define SUBSHARE_CORE_CSE_OPTIMIZER_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/candidate_gen.h"
 #include "core/opt_trace.h"
@@ -33,8 +36,12 @@ class ResultCache;
 // §5.2 spool-charge invariants hold regardless); only the chosen CSE set —
 // and hence plan cost and optimization time — may differ.
 enum class EnumerationStrategy {
-  // §5.3 subset re-optimization with Props 5.4–5.6 (the paper; default).
-  // Optimal over the candidate set but exponential in its size.
+  // §5.3 subset re-optimization with Props 5.4–5.6 (the paper; default),
+  // run separately on each connected component of the candidate
+  // interaction graph (see InteractionComponents): a component of at most
+  // 16 candidates gets the full subset search, a larger one the greedy loop
+  // below. Optimal whenever every component is small, and
+  // exponential only in the size of the largest such component.
   kExhaustive,
   // Volcano-MQO-style greedy (Roy et al.): add the candidate with the best
   // incremental benefit one at a time, fully re-costing the remaining
@@ -70,10 +77,10 @@ struct CseOptimizerOptions {
   // Skip the CSE phase entirely when the normal plan is cheaper than this
   // ("only if the query is expensive", §2.2). 0 = always try.
   double min_query_cost = 0;
-  // Candidates kept for subset enumeration (2^N growth); extra candidates
-  // are dropped lowest-benefit-first.
-  int max_candidates = 12;
-  // Hard cap on CSE re-optimizations.
+  // Hard cap on CSE re-optimizations (enabled sets costed), one budget
+  // shared by every interaction component. Candidates beyond Bitset64
+  // capacity (64) are dropped lowest-net-benefit-first; there is no other
+  // candidate cap.
   int max_optimizations = 512;
   // Enabled-set search strategy (Step 3).
   EnumerationStrategy strategy = DefaultEnumerationStrategy();
@@ -86,7 +93,7 @@ struct CseOptimizerOptions {
 
 struct CseMetrics {
   int sharable_sets = 0;
-  int candidates_generated = 0;       // before Heuristic 4 / cap
+  int candidates_generated = 0;       // before Heuristic 4 / capacity clamp
   int candidates_after_pruning = 0;   // reported as "# of CSEs"
   int cse_optimizations = 0;          // reported as "[CSE Opt]"
   int used_cses = 0;
@@ -98,7 +105,7 @@ struct CseMetrics {
   double final_cost = 0;
   double optimize_seconds = 0;
   // Step-2 time: signatures, sharable sets, join compatibility, Algorithm 1
-  // with H1–H3, Heuristic 4 and the enumeration cap. Strategy-invariant.
+  // with H1–H3, Heuristic 4 and the capacity clamp. Strategy-invariant.
   double generate_seconds = 0;
   // Step-3 enabled-set search time only (the part the EnumerationStrategy
   // knob changes).
@@ -113,6 +120,17 @@ struct CseMetrics {
   // prunes, enumeration steps); render with trace.ExplainTrace().
   OptTrace trace;
 };
+
+// Connected components of the candidate interaction graph, as candidate-id
+// masks ordered by lowest member. Candidates i and j interact when both are
+// relevant at one statement root (`statement_relevant`, one mask per
+// statement) or when one is relevant inside the other's evaluation tree
+// (`eval_relevant[i]`: the relevant mask of candidate i's evaluation group —
+// stacking, §5.5). Candidates in different components have additive
+// benefits (DESIGN.md §12), so each component can be searched on its own.
+std::vector<uint64_t> InteractionComponents(
+    const std::vector<uint64_t>& statement_relevant,
+    const std::vector<uint64_t>& eval_relevant);
 
 class CseQueryOptimizer {
  public:
@@ -135,16 +153,25 @@ class CseQueryOptimizer {
   PhysicalNodePtr Enumerate(GroupId root, int num_candidates,
                             PhysicalNodePtr normal_plan, Bitset64* best_set,
                             CseMetrics* metrics);
-  // §5.3 subset enumeration with Props 5.4–5.6.
-  PhysicalNodePtr EnumerateExhaustive(GroupId root, int num_candidates,
+  // kExhaustive: searches each interaction component on its own, then
+  // costs the union of the per-component choices once.
+  PhysicalNodePtr EnumerateComponents(GroupId root, int num_candidates,
                                       PhysicalNodePtr normal_plan,
-                                      Bitset64* best_set, CseMetrics* metrics);
+                                      Bitset64* best_set, int* opts,
+                                      OptTrace& trace);
+  // §5.3 subset enumeration with Props 5.4–5.6 over the subsets of
+  // `component` (at most 16 candidates; the rest disabled); sets *best_set
+  // to the used set of the cheapest plan if it beats `normal_plan`.
+  void EnumerateSubsets(GroupId root, uint64_t component,
+                        const PhysicalNodePtr& normal_plan,
+                        Bitset64* best_set, int* opts, OptTrace& trace);
   // kGreedy (lazy=false) and kApproximate (lazy=true) share the incremental
-  // add-one-candidate loop; lazy mode adds the stale-bound pruning.
-  PhysicalNodePtr EnumerateGreedy(GroupId root, int num_candidates,
+  // add-one-candidate loop over the candidates in `pool`; lazy mode adds
+  // the stale-bound pruning.
+  PhysicalNodePtr EnumerateGreedy(GroupId root, uint64_t pool,
                                   PhysicalNodePtr normal_plan,
-                                  Bitset64* best_set, CseMetrics* metrics,
-                                  bool lazy);
+                                  Bitset64* best_set, int* opts,
+                                  OptTrace& trace, bool lazy);
   // Candidates actually spooled by enough consumers under `enabled_mask`
   // (recycled candidates need one reader, fresh ones two — §5.2).
   uint64_t UsedMask(const PhysicalNode& plan, uint64_t enabled_mask) const;

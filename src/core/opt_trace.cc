@@ -51,7 +51,7 @@ std::string OptTrace::ExplainTrace() const {
     }
   }
   if (candidates_dropped > 0) {
-    out += StrFormat("candidates dropped at cap: %lld\n",
+    out += StrFormat("candidates dropped beyond Bitset64 capacity: %lld\n",
                      static_cast<long long>(candidates_dropped));
   }
 
@@ -60,6 +60,21 @@ std::string OptTrace::ExplainTrace() const {
   for (const Candidate& c : candidates) {
     out += StrFormat("  #%d %s  [%d consumer(s)]\n", c.id,
                      c.description.c_str(), c.num_consumers);
+  }
+
+  if (!components.empty()) {
+    std::string sizes;
+    for (const Component& c : components) {
+      sizes += StrFormat("%s%d", sizes.empty() ? "" : ", ",
+                         __builtin_popcountll(c.members));
+    }
+    out += StrFormat("interaction components: %d (sizes %s)\n",
+                     static_cast<int>(components.size()), sizes.c_str());
+    for (const Component& c : components) {
+      out += StrFormat("  %s -> %s, %d set(s) optimized, chose %s\n",
+                       MaskToString(c.members).c_str(), c.method.c_str(),
+                       c.optimizations, MaskToString(c.chosen).c_str());
+    }
   }
 
   if (!enumeration.empty() || skipped_prop54 + skipped_prop55 +

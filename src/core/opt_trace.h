@@ -30,10 +30,12 @@ struct OptTrace {
     bool accepted = false;  // merged (best positive Δ of the round)
   };
 
-  // Heuristic/cap prunes (§4.3 H1–H4, enumeration cap).
+  // Heuristic and capacity prunes (§4.3 H1–H4; "capacity": beyond the 64
+  // candidates a Bitset64 enabled-set mask can hold; "KS": the approximate
+  // strategy's lattice pruning).
   struct Prune {
     std::string what;    // candidate / consumer / set description
-    std::string rule;    // "H1", "H2", "H3", "H4", "cap"
+    std::string rule;    // "H1", "H2", "H3", "H4", "capacity", "KS"
     std::string detail;
   };
 
@@ -56,11 +58,21 @@ struct OptTrace {
     std::string note;       // strategy provenance; empty for exhaustive §5.3
   };
 
+  // Exhaustive strategy: one entry per connected component of the
+  // candidate interaction graph, in search order.
+  struct Component {
+    uint64_t members = 0;   // candidate-id mask
+    std::string method;     // "exhaustive" (subset search) or "greedy"
+    int optimizations = 0;  // enabled sets costed for this component
+    uint64_t chosen = 0;    // the component's best used set
+  };
+
   std::vector<SignatureSet> signatures;
   std::vector<Merge> merges;
   std::vector<Prune> prunes;
   std::vector<Candidate> candidates;
   std::vector<EnumStep> enumeration;
+  std::vector<Component> components;
   // Cross-batch cache decisions: result-recycler probes during candidate
   // registration ("cse N: recycler hit/miss <key>") and, when the executor
   // reports back, admissions/evictions.
@@ -70,9 +82,8 @@ struct OptTrace {
   int64_t skipped_prop55 = 0;
   int64_t skipped_prop56 = 0;
   bool enumeration_capped = false;  // hit max_optimizations
-  // Candidates dropped at the enumeration cap (max_candidates, itself
-  // hard-clamped to Bitset64 capacity: candidate ids are mask bits, so at
-  // most 64 survive no matter what the option says).
+  // Candidates dropped beyond Bitset64 capacity: candidate ids are mask
+  // bits, so at most 64 survive.
   int64_t candidates_dropped = 0;
   // Which strategy produced the enumeration steps above ("exhaustive",
   // "greedy", "approximate") — the chosen-set provenance.

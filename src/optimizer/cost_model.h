@@ -33,12 +33,6 @@ struct CostModel {
     return build_rows * (1.0 + 0.005 * build_width) + probe_rows * 0.7 +
            output_rows * 0.3;
   }
-  // Sort both inputs + linear merge.
-  static double MergeJoin(double left_rows, double right_rows,
-                          double output_rows) {
-    return Sort(left_rows) + Sort(right_rows) +
-           (left_rows + right_rows) * 0.5 + output_rows * 0.3;
-  }
   // Index nested loops: per-outer-row index probe + matched-row fetch.
   static double IndexNlJoin(double outer_rows, double inner_rows,
                             double output_rows, double inner_width) {

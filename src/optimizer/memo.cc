@@ -170,25 +170,33 @@ std::set<ColId> PayloadColumns(const LogicalOp& op) {
 
 }  // namespace
 
-bool IsDescendantGroup(const Memo& memo, GroupId desc, GroupId anc) {
-  if (desc == anc) return true;
-  std::vector<bool> visited(memo.num_groups(), false);
-  std::vector<GroupId> stack = {anc};
-  visited[anc] = true;
+std::vector<bool> DescendantGroups(const Memo& memo,
+                                   const std::vector<GroupId>& from) {
+  std::vector<bool> reached(memo.num_groups(), false);
+  std::vector<GroupId> stack;
+  for (GroupId g : from) {
+    if (!reached[g]) {
+      reached[g] = true;
+      stack.push_back(g);
+    }
+  }
   while (!stack.empty()) {
     GroupId g = stack.back();
     stack.pop_back();
     for (const GroupExpr& expr : memo.group(g).exprs) {
       for (GroupId c : expr.children) {
-        if (c == desc) return true;
-        if (!visited[c]) {
-          visited[c] = true;
+        if (!reached[c]) {
+          reached[c] = true;
           stack.push_back(c);
         }
       }
     }
   }
-  return false;
+  return reached;
+}
+
+bool IsDescendantGroup(const Memo& memo, GroupId desc, GroupId anc) {
+  return DescendantGroups(memo, {anc})[desc];
 }
 
 void ComputeRequiredColumns(Memo* memo, const std::vector<GroupId>& roots) {
@@ -198,26 +206,40 @@ void ComputeRequiredColumns(Memo* memo, const std::vector<GroupId>& roots) {
     Group& g = memo->group(r);
     g.required.insert(g.output.begin(), g.output.end());
   }
-  // Fixpoint propagation parent -> children.
-  bool changed = true;
-  int rounds = 0;
-  while (changed) {
-    changed = false;
-    CHECK(++rounds <= memo->num_groups() + 2) << "required-cols cycle";
-    for (GroupId gid = 0; gid < memo->num_groups(); ++gid) {
-      Group& parent = memo->group(gid);
-      if (parent.required.empty() && parent.exprs.empty()) continue;
-      for (const GroupExpr& expr : parent.exprs) {
-        std::set<ColId> need = PayloadColumns(expr.op);
-        need.insert(parent.required.begin(), parent.required.end());
-        for (GroupId cid : expr.children) {
-          Group& child = memo->group(cid);
-          for (ColId c : need) {
-            if (child.HasOutput(c) && child.required.insert(c).second) {
-              changed = true;
-            }
-          }
-        }
+  const int n = memo->num_groups();
+  std::vector<GroupId> worklist;
+  std::vector<bool> queued(n, false);
+  auto add = [&](Group* child, ColId c) {
+    if (child->HasOutput(c) && child->required.insert(c).second &&
+        !queued[child->id]) {
+      queued[child->id] = true;
+      worklist.push_back(child->id);
+    }
+  };
+  // One pass over every group pushes payload references and the current
+  // requirements down; payloads never change, so afterwards only a grown
+  // required set has anything new to push.
+  for (GroupId gid = 0; gid < n; ++gid) {
+    Group& parent = memo->group(gid);
+    for (const GroupExpr& expr : parent.exprs) {
+      if (expr.children.empty()) continue;
+      const std::set<ColId> payload = PayloadColumns(expr.op);
+      for (GroupId cid : expr.children) {
+        Group& child = memo->group(cid);
+        for (ColId c : payload) add(&child, c);
+        for (ColId c : parent.required) add(&child, c);
+      }
+    }
+  }
+  while (!worklist.empty()) {
+    GroupId gid = worklist.back();
+    worklist.pop_back();
+    queued[gid] = false;
+    Group& parent = memo->group(gid);
+    for (const GroupExpr& expr : parent.exprs) {
+      for (GroupId cid : expr.children) {
+        Group& child = memo->group(cid);
+        for (ColId c : parent.required) add(&child, c);
       }
     }
   }

@@ -113,9 +113,16 @@ class Memo {
 // edges (Definition 4.2's "descendant group in the memo structure").
 bool IsDescendantGroup(const Memo& memo, GroupId desc, GroupId anc);
 
-// Computes Group::required for every group reachable from the roots by
-// propagating parent requirements and operator payload references downward
-// to a fixpoint. `seed_all_outputs` groups get required = full output.
+// Membership bitmap (indexed by GroupId) of every group reachable from any
+// of `from` through child edges, `from` included: IsDescendantGroup for all
+// (desc, anc ∈ from) pairs in one traversal.
+std::vector<bool> DescendantGroups(const Memo& memo,
+                                   const std::vector<GroupId>& from);
+
+// Computes Group::required by propagating parent requirements and operator
+// payload references downward to the least fixpoint above the current
+// sets; `roots` are seeded with their full output. A worklist revisits only
+// groups whose required set grew.
 void ComputeRequiredColumns(Memo* memo, const std::vector<GroupId>& roots);
 
 }  // namespace subshare

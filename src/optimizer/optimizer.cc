@@ -328,26 +328,18 @@ Optimizer::ImplementResult Optimizer::ImplementExpr(GroupId g,
         residual.push_back(c);
       }
       if (!keys.empty()) {
-        ExprPtr residual_pred = CombineConjuncts(residual);
-        // Hash join (build = smaller input).
+        // Hash join (build = smaller input). No sort-merge alternative: no
+        // operator delivers sorted input, so a merge join always sorts both
+        // sides and runs slower than the hash join it would replace.
         PhysicalNodePtr hash = new_node(PhysOpKind::kHashJoin);
-        hash->join_keys = keys;
-        hash->join_residual = residual_pred;
+        hash->join_keys = std::move(keys);
+        hash->join_residual = CombineConjuncts(residual);
         double build_width = 8.0 * build_g.required.size();
         hash->est_cost =
             children_cost + CostModel::HashJoin(build_card, build_width,
                                                 probe_card, card);
         hash->children = {probe, build};
         result.plans.push_back(std::move(hash));
-        // Sort-merge join alternative.
-        PhysicalNodePtr merge = new_node(PhysOpKind::kMergeJoin);
-        merge->join_keys = std::move(keys);
-        merge->join_residual = residual_pred;
-        merge->est_cost =
-            children_cost + CostModel::MergeJoin(probe_card, build_card,
-                                                 card);
-        merge->children = {probe, build};
-        result.plans.push_back(std::move(merge));
       } else {
         PhysicalNodePtr join = new_node(PhysOpKind::kNlJoin);
         join->nl_pred = CombineConjuncts(residual);

@@ -1,6 +1,7 @@
 // A small fixed-width bitmask used for relation sets in the join-order
-// enumerator and for enabled-candidate sets in the CSE optimizer. Both are
-// bounded well below 64 elements (joins <= 16 relations, candidates <= 16).
+// enumerator and for enabled-candidate sets in the CSE optimizer. Joins stay
+// well below 64 relations; CSE candidates are clamped to exactly 64 (the
+// lowest net benefits are dropped past it).
 #ifndef SUBSHARE_UTIL_BITSET64_H_
 #define SUBSHARE_UTIL_BITSET64_H_
 
@@ -12,7 +13,7 @@ namespace subshare {
 
 class Bitset64 {
  public:
-  // Capacity ceiling. Producers of member indexes (the CSE candidate cap,
+  // Capacity ceiling. Producers of member indexes (the CSE capacity clamp,
   // the join enumerator) must clamp to this BEFORE building masks: a raw
   // `1ULL << i` with i >= 64 is undefined behavior, and Bit() below CHECKs
   // rather than relying on callers.

@@ -265,7 +265,8 @@ std::string OverCapacityBatch() {
 TEST_P(StrategyParamTest, CandidateClampBeyondBitsetCapacity) {
   // A batch generating more than Bitset64::kMaxBits candidates must clamp
   // at generation — lowest net benefit dropped first, trace noting each —
-  // rather than overflow the enabled-set masks.
+  // rather than overflow the enabled-set masks. The clamp is the only
+  // candidate cap left.
   std::string sql = OverCapacityBatch();
 
   QueryContext ctx(catalog_);
@@ -273,7 +274,6 @@ TEST_P(StrategyParamTest, CandidateClampBeyondBitsetCapacity) {
   ASSERT_TRUE(stmts.ok());
   CseOptimizerOptions options;
   options.strategy = GetParam();
-  options.max_candidates = 1000;  // only the capacity clamp may engage
   options.enable_heuristics = false;
   CseQueryOptimizer optimizer(&ctx, options);
   CseMetrics metrics;
@@ -282,7 +282,8 @@ TEST_P(StrategyParamTest, CandidateClampBeyondBitsetCapacity) {
   EXPECT_GT(metrics.candidates_generated, Bitset64::kMaxBits);
   EXPECT_GT(metrics.trace.candidates_dropped, 0);
   EXPECT_LE(metrics.candidates_after_pruning, Bitset64::kMaxBits);
-  EXPECT_NE(metrics.trace.ExplainTrace().find("candidates dropped at cap"),
+  EXPECT_NE(metrics.trace.ExplainTrace().find(
+                "candidates dropped beyond Bitset64 capacity"),
             std::string::npos);
   EXPECT_EQ(testing::PlanInvariantViolation(plan), "");
 

@@ -1,7 +1,8 @@
-// §5.3 enumeration tests: the proposition-based subset skipping must never
-// miss the best plan an exhaustive enumeration would find, and the
-// heuristics knobs (α, β) must behave monotonically without changing
-// results.
+// §5.3 enumeration tests: the per-component, proposition-pruned subset
+// search must never miss the best plan a brute-force enumeration of every
+// candidate subset would find, the candidate interaction graph must split
+// and join components as DESIGN.md §12 says, and the heuristics knobs
+// (α, β) must behave monotonically without changing results.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 #include "core/cse_optimizer.h"
 #include "exec/executor.h"
 #include "sql/binder.h"
+#include "testing/query_gen.h"
 #include "tpch/tpch.h"
 
 namespace subshare {
@@ -73,6 +75,19 @@ const char* kBatches[] = {
     "c_nationkey = n_nationkey group by n_regionkey",
 };
 
+// The brute-force oracle: the cheapest root plan over every subset of the
+// registered candidates, each costed directly through BestPlan.
+double BruteForceMinimum(Optimizer& opt) {
+  GroupId root = opt.memo().root();
+  int n = static_cast<int>(opt.candidates().size());
+  double best = opt.BestPlan(root, Bitset64())->est_cost;
+  for (uint64_t s = 1; s < (1ULL << n); ++s) {
+    PhysicalNodePtr plan = opt.BestPlan(root, Bitset64(s));
+    if (plan != nullptr) best = std::min(best, plan->est_cost);
+  }
+  return best;
+}
+
 class EnumerationParamTest : public EnumerationTest,
                              public ::testing::WithParamInterface<int> {};
 
@@ -90,18 +105,10 @@ TEST_P(EnumerationParamTest, PrunedEnumerationMatchesExhaustiveMinimum) {
   CseMetrics metrics;
   ExecutablePlan chosen = optimizer.Optimize(*stmts, &metrics);
 
-  // Exhaustive: evaluate every subset directly through the costing API.
-  Optimizer& opt = optimizer.optimizer();
-  GroupId root = opt.memo().root();
-  int n = static_cast<int>(opt.candidates().size());
+  int n = static_cast<int>(optimizer.optimizer().candidates().size());
   ASSERT_GE(n, 1);
   ASSERT_LE(n, 10) << "test assumes a small candidate set";
-  double best = opt.BestPlan(root, Bitset64())->est_cost;
-  for (uint64_t s = 1; s < (1ULL << n); ++s) {
-    PhysicalNodePtr plan = opt.BestPlan(root, Bitset64(s));
-    if (plan != nullptr) best = std::min(best, plan->est_cost);
-  }
-  EXPECT_NEAR(chosen.est_cost, best, 1e-6)
+  EXPECT_NEAR(chosen.est_cost, BruteForceMinimum(optimizer.optimizer()), 1e-6)
       << "proposition-based skipping missed the best plan";
   // And it did skip something relative to the 2^N - 1 exhaustive count
   // whenever more than one candidate exists.
@@ -112,6 +119,119 @@ TEST_P(EnumerationParamTest, PrunedEnumerationMatchesExhaustiveMinimum) {
 
 INSTANTIATE_TEST_SUITE_P(Batches, EnumerationParamTest,
                          ::testing::Range(0, 2));
+
+// The components partition the candidates, and no interaction edge leaves
+// one: every statement root's relevant candidates, and every candidate's
+// evaluation-tree candidates, lie within a single component.
+void ExpectClosedComponents(
+    Optimizer& opt, const std::vector<OptTrace::Component>& components) {
+  auto touched = [&](uint64_t mask) {
+    int n = 0;
+    for (const OptTrace::Component& c : components) {
+      n += (c.members & mask) != 0;
+    }
+    return n;
+  };
+  uint64_t covered = 0;
+  for (const OptTrace::Component& c : components) {
+    EXPECT_EQ(covered & c.members, 0u);
+    covered |= c.members;
+  }
+  EXPECT_EQ(covered, (1ULL << opt.candidates().size()) - 1);
+  for (GroupId s : opt.statement_roots()) {
+    EXPECT_LE(touched(opt.memo().group(s).relevant_cses.Raw()), 1)
+        << "statement group " << s;
+  }
+  for (const CseCandidateInfo& c : opt.candidates()) {
+    uint64_t inside = opt.memo().group(c.eval_group).relevant_cses.Raw();
+    EXPECT_LE(touched(inside | (1ULL << c.id)), 1) << "candidate " << c.id;
+  }
+}
+
+// Generated batches whose candidates split over several interaction
+// components: searching each component on its own and costing the union of
+// the choices must reach the brute-force minimum over all 2^n subsets
+// (benefits of different components add, DESIGN.md §12). A generated batch
+// mostly shares one join core, so each case runs two consecutive generated
+// batches as one.
+TEST_F(EnumerationTest, ComponentSearchMatchesBruteForceOnGeneratedBatches) {
+  int checked = 0;
+  bool multi_member = false;  // some component needed a real subset search
+  for (uint64_t seed = 1; seed <= 400 && checked < 8; ++seed) {
+    testing::QueryGenerator gen(catalog_, seed);
+    std::string sql = testing::ToSql(gen.NextBatch());
+    sql += testing::ToSql(gen.NextBatch());
+    QueryContext ctx(catalog_);
+    auto stmts = sql::BindSql(sql, &ctx);
+    if (!stmts.ok()) continue;
+    CseOptimizerOptions options;
+    options.enable_heuristics = false;
+    options.strategy = EnumerationStrategy::kExhaustive;
+    options.max_optimizations = 1 << 12;  // never binds at <= 10 candidates
+    CseQueryOptimizer optimizer(&ctx, options);
+    CseMetrics metrics;
+    ExecutablePlan chosen = optimizer.Optimize(*stmts, &metrics);
+    int n = static_cast<int>(optimizer.optimizer().candidates().size());
+    if (n < 2 || n > 10 || metrics.trace.components.size() < 2) continue;
+    ++checked;
+    for (const OptTrace::Component& c : metrics.trace.components) {
+      multi_member |= __builtin_popcountll(c.members) >= 2;
+    }
+    ExpectClosedComponents(optimizer.optimizer(), metrics.trace.components);
+    EXPECT_FALSE(metrics.trace.enumeration_capped) << "seed " << seed;
+    double best = BruteForceMinimum(optimizer.optimizer());
+    EXPECT_NEAR(chosen.est_cost, best, 1e-9 * best)
+        << "seed " << seed << ", " << n << " candidates\n"
+        << sql << "\n" << metrics.trace.ExplainTrace();
+  }
+  EXPECT_GE(checked, 5) << "too few generated batches with >= 2 components";
+  EXPECT_TRUE(multi_member);
+}
+
+// The interaction graph on hand-built relevance masks (bit i = candidate i).
+TEST(InteractionComponentsTest, IndependentCoresStaySeparate) {
+  // Three statements, each relevant to its own candidate only.
+  EXPECT_EQ(InteractionComponents({0b001, 0b010, 0b100}, {0, 0, 0}),
+            (std::vector<uint64_t>{0b001, 0b010, 0b100}));
+  // A candidate relevant nowhere is a component of its own.
+  EXPECT_EQ(InteractionComponents({0b01}, {0, 0}),
+            (std::vector<uint64_t>{0b01, 0b10}));
+}
+
+TEST(InteractionComponentsTest, SharedStatementJoinsCandidates) {
+  // Statement 0 can read candidates 0 and 2; statement 1 only candidate 1.
+  EXPECT_EQ(InteractionComponents({0b101, 0b010}, {0, 0, 0}),
+            (std::vector<uint64_t>{0b101, 0b010}));
+  // Chains join transitively: {0,1} via statement 0, {1,3} via statement 1.
+  EXPECT_EQ(InteractionComponents({0b0011, 0b1010}, {0, 0, 0, 0}),
+            (std::vector<uint64_t>{0b1011, 0b0100}));
+}
+
+TEST(InteractionComponentsTest, StackedPairJoinsCandidates) {
+  // Candidates 0 and 1 serve different statements, but candidate 1 is
+  // relevant inside candidate 0's evaluation tree (§5.5 stacking).
+  EXPECT_EQ(InteractionComponents({0b001, 0b010, 0b100}, {0b010, 0, 0}),
+            (std::vector<uint64_t>{0b011, 0b100}));
+}
+
+TEST_F(EnumerationTest, IndependentPairsFormSeparateComponents) {
+  // kBatches[1]: (Q1,Q2) share O⨝L, (Q3,Q4) share C⨝N.
+  QueryContext ctx(catalog_);
+  auto stmts = sql::BindSql(kBatches[1], &ctx);
+  ASSERT_TRUE(stmts.ok());
+  CseOptimizerOptions options;
+  options.enable_heuristics = false;  // H1 would drop the C⨝N pair
+  options.strategy = EnumerationStrategy::kExhaustive;
+  CseQueryOptimizer optimizer(&ctx, options);
+  CseMetrics metrics;
+  optimizer.Optimize(*stmts, &metrics);
+  const std::vector<OptTrace::Component>& components =
+      metrics.trace.components;
+  ASSERT_GE(components.size(), 2u) << metrics.trace.ExplainTrace();
+  ExpectClosedComponents(optimizer.optimizer(), components);
+  EXPECT_NE(metrics.trace.ExplainTrace().find("interaction components: "),
+            std::string::npos);
+}
 
 // Heuristic parameter sweeps: results never change; candidate counts move
 // monotonically with α.

@@ -52,23 +52,38 @@ class FuzzDifferentialTest : public ::testing::Test {
 
 Catalog* FuzzDifferentialTest::catalog_ = nullptr;
 
-TEST_F(FuzzDifferentialTest, CorpusReplay) {
-  std::vector<std::filesystem::path> files;
+struct CorpusEntry {
+  std::filesystem::path path;
+  std::string sql;
+};
+
+// The checked-in regression batches (tests/corpus/*.sql), sorted by path.
+std::vector<CorpusEntry> Corpus() {
+  std::vector<CorpusEntry> corpus;
   for (const auto& entry :
        std::filesystem::directory_iterator(SUBSHARE_CORPUS_DIR)) {
-    if (entry.path().extension() == ".sql") files.push_back(entry.path());
-  }
-  std::sort(files.begin(), files.end());
-  ASSERT_FALSE(files.empty()) << "no corpus files in " << SUBSHARE_CORPUS_DIR;
-
-  testing::DifferentialTester tester(catalog_);
-  for (const auto& file : files) {
-    std::ifstream in(file);
-    ASSERT_TRUE(in.good()) << file;
+    if (entry.path().extension() != ".sql") continue;
+    std::ifstream in(entry.path());
+    EXPECT_TRUE(in.good()) << entry.path();
     std::stringstream buf;
     buf << in.rdbuf();
-    auto d = tester.Check(buf.str());
-    EXPECT_FALSE(d.has_value()) << file << ":\n" << d->ToString();
+    corpus.push_back({entry.path(), buf.str()});
+  }
+  std::sort(corpus.begin(), corpus.end(),
+            [](const CorpusEntry& a, const CorpusEntry& b) {
+              return a.path < b.path;
+            });
+  return corpus;
+}
+
+TEST_F(FuzzDifferentialTest, CorpusReplay) {
+  const std::vector<CorpusEntry> corpus = Corpus();
+  ASSERT_FALSE(corpus.empty()) << "no corpus files in " << SUBSHARE_CORPUS_DIR;
+
+  testing::DifferentialTester tester(catalog_);
+  for (const CorpusEntry& entry : corpus) {
+    auto d = tester.Check(entry.sql);
+    EXPECT_FALSE(d.has_value()) << entry.path << ":\n" << d->ToString();
   }
   EXPECT_GT(tester.statements_checked(), 0);
 }
@@ -100,24 +115,15 @@ TEST_F(FuzzDifferentialTest, RandomBatches) {
 // plan invariants per strategy. Only the chosen
 // CSE set may differ between strategies — results never.
 TEST_F(FuzzDifferentialTest, StrategySweepCorpusReplay) {
-  std::vector<std::filesystem::path> files;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(SUBSHARE_CORPUS_DIR)) {
-    if (entry.path().extension() == ".sql") files.push_back(entry.path());
-  }
-  std::sort(files.begin(), files.end());
-  ASSERT_FALSE(files.empty());
+  const std::vector<CorpusEntry> corpus = Corpus();
+  ASSERT_FALSE(corpus.empty());
 
   testing::DiffOptions options;
   options.strategies = testing::AllEnumerationStrategies();
   testing::DifferentialTester tester(catalog_, options);
-  for (const auto& file : files) {
-    std::ifstream in(file);
-    ASSERT_TRUE(in.good()) << file;
-    std::stringstream buf;
-    buf << in.rdbuf();
-    auto d = tester.Check(buf.str());
-    EXPECT_FALSE(d.has_value()) << file << ":\n" << d->ToString();
+  for (const CorpusEntry& entry : corpus) {
+    auto d = tester.Check(entry.sql);
+    EXPECT_FALSE(d.has_value()) << entry.path << ":\n" << d->ToString();
   }
 }
 
@@ -149,24 +155,15 @@ TEST_F(FuzzDifferentialTest, StrategySweepRandomBatches) {
 // run cold, warm (must hit the plan cache), and again after a random
 // insert — pinning the repeated-prefix and repeat-after-insert scenarios.
 TEST_F(FuzzDifferentialTest, CorpusReplayCacheMode) {
-  std::vector<std::filesystem::path> files;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(SUBSHARE_CORPUS_DIR)) {
-    if (entry.path().extension() == ".sql") files.push_back(entry.path());
-  }
-  std::sort(files.begin(), files.end());
-  ASSERT_FALSE(files.empty());
+  const std::vector<CorpusEntry> corpus = Corpus();
+  ASSERT_FALSE(corpus.empty());
 
   Database db;
   ASSERT_TRUE(db.LoadTpch(0.002).ok());
   testing::CacheDifferentialTester tester(&db, /*seed=*/11);
-  for (const auto& file : files) {
-    std::ifstream in(file);
-    ASSERT_TRUE(in.good()) << file;
-    std::stringstream buf;
-    buf << in.rdbuf();
-    auto d = tester.Check(buf.str());
-    EXPECT_FALSE(d.has_value()) << file << ":\n" << d->ToString();
+  for (const CorpusEntry& entry : corpus) {
+    auto d = tester.Check(entry.sql);
+    EXPECT_FALSE(d.has_value()) << entry.path << ":\n" << d->ToString();
   }
   EXPECT_EQ(tester.plan_hits_seen(), tester.batches_checked());
   // The shared-prefix corpus entries actually exercise the recycler.
@@ -243,6 +240,39 @@ TEST_F(FuzzDifferentialTest, NaivePlanUsesNoHashJoin) {
   }
   EXPECT_EQ(hash, 0);
   EXPECT_GT(merge, 0) << "generated batches planned no equi-join";
+}
+
+// The optimizer never plans a sort-merge join (no operator delivers sorted
+// input, so it always loses to the hash join), while the naive reference
+// still plans every equi-join as one.
+TEST_F(FuzzDifferentialTest, OnlyNaivePlansUseMergeJoin) {
+  const std::vector<CorpusEntry> corpus = Corpus();
+  ASSERT_FALSE(corpus.empty());
+  int naive_merge = 0;
+  for (const CorpusEntry& entry : corpus) {
+    for (EnumerationStrategy strategy : testing::AllEnumerationStrategies()) {
+      QueryContext ctx(catalog_);
+      auto stmts = sql::BindSql(entry.sql, &ctx);
+      ASSERT_TRUE(stmts.ok()) << entry.path;
+      CseOptimizerOptions options;
+      options.strategy = strategy;
+      CseQueryOptimizer opt(&ctx, options);
+      ExecutablePlan plan = opt.Optimize(*stmts);
+      int hash = 0, merge = 0;
+      CountJoins(*plan.root, &hash, &merge);
+      for (const auto& cse : plan.cse_plans) {
+        CountJoins(*cse.plan, &hash, &merge);
+      }
+      EXPECT_EQ(merge, 0) << entry.path << " under "
+                          << EnumerationStrategyName(strategy);
+    }
+    QueryContext ctx(catalog_);
+    auto stmts = sql::BindSql(entry.sql, &ctx);
+    ASSERT_TRUE(stmts.ok()) << entry.path;
+    int hash = 0;
+    CountJoins(*NaivePlanBatch(*stmts, &ctx).root, &hash, &naive_merge);
+  }
+  EXPECT_GT(naive_merge, 0) << "the corpus planned no equi-join";
 }
 
 // Regression for the §5.2 accounting rule: when subset re-optimization

@@ -3,6 +3,9 @@
 // per-group relevant-candidate masks.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "optimizer/optimizer.h"
 #include "sql/binder.h"
 #include "tpch/tpch.h"
@@ -133,6 +136,140 @@ TEST_F(MemoTest, DescendantGroupFollowsExprEdges) {
   GroupId stmt = opt.statement_roots()[0];
   EXPECT_FALSE(IsDescendantGroup(memo, root, stmt));
   EXPECT_TRUE(IsDescendantGroup(memo, stmt, stmt));
+}
+
+// Reference: one DFS from `anc` along child edges per (desc, anc) pair.
+bool ReachableByDfs(const Memo& memo, GroupId desc, GroupId anc) {
+  std::vector<bool> visited(memo.num_groups(), false);
+  std::vector<GroupId> stack = {anc};
+  visited[anc] = true;
+  while (!stack.empty()) {
+    GroupId g = stack.back();
+    stack.pop_back();
+    if (g == desc) return true;
+    for (const GroupExpr& expr : memo.group(g).exprs) {
+      for (GroupId c : expr.children) {
+        if (!visited[c]) {
+          visited[c] = true;
+          stack.push_back(c);
+        }
+      }
+    }
+  }
+  return false;
+}
+
+TEST_F(MemoTest, DescendantGroupsMatchesPairwiseSearch) {
+  QueryContext ctx(catalog_);
+  auto stmts = sql::BindSql(
+      "select c_nationkey, count(*) from customer, orders "
+      "where c_custkey = o_custkey group by c_nationkey; "
+      "select o_orderstatus, sum(l_quantity) as q from orders, lineitem "
+      "where o_orderkey = l_orderkey group by o_orderstatus",
+      &ctx);
+  ASSERT_TRUE(stmts.ok());
+  Optimizer opt(&ctx);
+  opt.BuildAndExplore(*stmts);
+  const Memo& memo = opt.memo();
+  const int n = memo.num_groups();
+  // Every single source, and a few multi-source sets.
+  std::vector<std::vector<GroupId>> sources;
+  for (GroupId g = 0; g < n; ++g) sources.push_back({g});
+  sources.push_back(opt.statement_roots());
+  sources.push_back({0, n / 2, n - 1});
+  for (const std::vector<GroupId>& from : sources) {
+    std::vector<bool> reached = DescendantGroups(memo, from);
+    for (GroupId g = 0; g < n; ++g) {
+      bool want = false;
+      for (GroupId f : from) want |= ReachableByDfs(memo, g, f);
+      EXPECT_EQ(reached[g], want) << "G" << g;
+    }
+  }
+}
+
+// The round-based fixpoint the worklist replaced: every round re-pushes
+// every group's payload and required columns until nothing changes.
+void RequiredColumnsBySweeps(Memo* memo, const std::vector<GroupId>& roots) {
+  for (GroupId r : roots) {
+    Group& g = memo->group(r);
+    g.required.insert(g.output.begin(), g.output.end());
+  }
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (GroupId gid = 0; gid < memo->num_groups(); ++gid) {
+      Group& parent = memo->group(gid);
+      for (const GroupExpr& expr : parent.exprs) {
+        std::set<ColId> need(parent.required);
+        for (const ExprPtr& c : expr.op.conjuncts) CollectColumns(c, &need);
+        need.insert(expr.op.group_cols.begin(), expr.op.group_cols.end());
+        for (const AggregateItem& a : expr.op.aggs) {
+          CollectColumns(a.arg, &need);
+        }
+        for (const ProjectItem& p : expr.op.projections) {
+          CollectColumns(p.expr, &need);
+        }
+        for (const SortKey& k : expr.op.sort_keys) need.insert(k.col);
+        for (GroupId cid : expr.children) {
+          Group& child = memo->group(cid);
+          for (ColId c : need) {
+            if (child.HasOutput(c) && child.required.insert(c).second) {
+              changed = true;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(MemoTest, RequiredColumnsWorklistReachesSweepFixpoint) {
+  QueryContext ctx(catalog_);
+  auto stmts = sql::BindSql(
+      "select c_nationkey, c_mktsegment, sum(l_extendedprice) as le "
+      "from customer, orders, lineitem where c_custkey = o_custkey and "
+      "o_orderkey = l_orderkey and o_orderdate < '1996-07-01' "
+      "group by c_nationkey, c_mktsegment; "
+      "select n_name, count(*) as c from customer, nation "
+      "where c_nationkey = n_nationkey and n_regionkey < 3 group by n_name "
+      "order by c",
+      &ctx);
+  ASSERT_TRUE(stmts.ok());
+  Optimizer opt(&ctx);
+  opt.BuildAndExplore(*stmts);
+  Memo& memo = opt.memo();
+  auto snapshot = [&] {
+    std::vector<std::set<ColId>> out;
+    for (GroupId g = 0; g < memo.num_groups(); ++g) {
+      out.push_back(memo.group(g).required);
+    }
+    return out;
+  };
+  auto clear = [&] {
+    for (GroupId g = 0; g < memo.num_groups(); ++g) {
+      memo.group(g).required.clear();
+    }
+  };
+  const std::vector<GroupId> roots = opt.statement_roots();
+  const std::vector<GroupId> narrow = {roots[1]};
+
+  // From empty sets.
+  clear();
+  RequiredColumnsBySweeps(&memo, roots);
+  auto want = snapshot();
+  clear();
+  ComputeRequiredColumns(&memo, roots);
+  EXPECT_EQ(snapshot(), want);
+
+  // Growing from a partial state, as Step 3 does with extra roots.
+  clear();
+  RequiredColumnsBySweeps(&memo, narrow);
+  RequiredColumnsBySweeps(&memo, roots);
+  want = snapshot();
+  clear();
+  ComputeRequiredColumns(&memo, narrow);
+  ComputeRequiredColumns(&memo, roots);
+  EXPECT_EQ(snapshot(), want);
 }
 
 TEST_F(MemoTest, RequiredColumnsIncludeJoinKeysAndAggInputs) {

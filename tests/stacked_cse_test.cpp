@@ -138,6 +138,40 @@ TEST_F(StackedCseTest, StackedPlansExecuteInDependencyOrder) {
       << "expected at least one CSE to be computed from another";
 }
 
+// A candidate relevant inside another's evaluation tree interacts with it
+// (§5.5 stacking), so the exhaustive strategy searches both in one
+// interaction component.
+TEST_F(StackedCseTest, StackedPairsShareAComponent) {
+  QueryContext ctx(catalog_);
+  auto stmts = sql::BindSql(StackedBatch(), &ctx);
+  ASSERT_TRUE(stmts.ok());
+  CseOptimizerOptions options;
+  options.strategy = EnumerationStrategy::kExhaustive;
+  CseQueryOptimizer optimizer(&ctx, options);
+  CseMetrics metrics;
+  optimizer.Optimize(*stmts, &metrics);
+  Optimizer& opt = optimizer.optimizer();
+  auto component_of = [&](int id) {
+    for (const OptTrace::Component& c : metrics.trace.components) {
+      if (c.members >> id & 1) return c.members;
+    }
+    return uint64_t{0};
+  };
+  int stacked_pairs = 0;
+  for (const CseCandidateInfo& wide : opt.candidates()) {
+    Bitset64 inside = opt.memo().group(wide.eval_group).relevant_cses;
+    for (int narrow = 0; narrow < static_cast<int>(opt.candidates().size());
+         ++narrow) {
+      if (!inside.Test(narrow)) continue;
+      ++stacked_pairs;
+      EXPECT_NE(component_of(wide.id), 0u);
+      EXPECT_EQ(component_of(wide.id), component_of(narrow))
+          << "candidate " << narrow << " stacks inside " << wide.id;
+    }
+  }
+  EXPECT_GT(stacked_pairs, 0) << metrics.trace.ExplainTrace();
+}
+
 TEST_F(StackedCseTest, StackedDisabledStillCorrect) {
   QueryContext ctx(catalog_);
   auto stmts = sql::BindSql(StackedBatch(), &ctx);
