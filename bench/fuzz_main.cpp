@@ -1,18 +1,13 @@
 // Standalone differential fuzzer for long runs.
 //
 //   fuzz_main [--seed=N] [--batches=N] [--sf=X] [--stop-on-first] [--cache]
-//             [--sessions=K] [--strategy=<all|exhaustive|greedy|approximate>]
+//             [--sessions=K]
 //
 // Generates `batches` random query batches (testing/query_gen.h), one
 // generator per seed in [seed, seed+batches), and cross-checks each CSE
 // plan against the naive reference plan (testing/differential.h). A failing batch is shrunk
 // and reported with its seed, so `--seed=<that seed> --batches=1` reproduces
 // it exactly. Exits nonzero when any divergence was found.
-//
-// --strategy (or SUBSHARE_FUZZ_STRATEGY) selects the CSE enumeration
-// strategy; `all` cross-checks exhaustive, greedy, and approximate plans
-// against each other and the naive reference in one run. Cache mode
-// supports the single-strategy values only.
 //
 // With --cache (or SUBSHARE_FUZZ_CACHE=1), runs the cache-mode checker
 // instead (testing/cache_differential.h): each batch is replayed through
@@ -23,8 +18,7 @@
 // With --sessions=K (K > 0), runs the multi-session checker instead
 // (testing/multi_session.h): K concurrent session threads share one
 // server's plan cache and result recycler while randomly appending rows;
-// --batches is the total across sessions. Single-strategy only; run the
-// ThreadSanitizer build of this mode to catch races the differential check
+// --batches is the total across sessions. Run the ThreadSanitizer build of this mode to catch races the differential check
 // cannot see.
 #include <algorithm>
 #include <cstdio>
@@ -51,17 +45,14 @@ using subshare::testing::QueryGenerator;
 
 namespace {
 
-int RunCacheMode(uint64_t seed, int batches, double sf,
-                 subshare::EnumerationStrategy strategy) {
+int RunCacheMode(uint64_t seed, int batches, double sf) {
   Database db;
   CHECK(db.LoadTpch(sf).ok());
   std::printf("fuzz (cache mode): sf=%g seeds=[%llu, %llu)\n", sf,
               static_cast<unsigned long long>(seed),
               static_cast<unsigned long long>(seed + batches));
 
-  subshare::testing::CacheDiffOptions cache_options;
-  cache_options.cse.strategy = strategy;
-  CacheDifferentialTester tester(&db, seed, cache_options);
+  CacheDifferentialTester tester(&db, seed);
   int divergences = 0;
   for (int i = 0; i < batches; ++i) {
     uint64_t batch_seed = seed + static_cast<uint64_t>(i);
@@ -92,15 +83,13 @@ int RunCacheMode(uint64_t seed, int batches, double sf,
   return divergences == 0 ? 0 : 1;
 }
 
-int RunMultiSessionMode(uint64_t seed, int batches, double sf, int sessions,
-                        subshare::EnumerationStrategy strategy) {
+int RunMultiSessionMode(uint64_t seed, int batches, double sf, int sessions) {
   Database db;
   CHECK(db.LoadTpch(sf).ok());
   subshare::testing::MultiSessionOptions options;
   options.sessions = sessions;
   options.batches_per_session = std::max(1, (batches + sessions - 1) / sessions);
   options.seed = seed;
-  options.strategy = strategy;
   options.progress_every = 50;
   std::printf("fuzz (multi-session): sf=%g sessions=%d batches/session=%d "
               "seed=%llu\n",
@@ -125,13 +114,9 @@ int main(int argc, char** argv) {
   bool stop_on_first = false;
   bool cache_mode = false;
   int sessions = 0;
-  std::string strategy_name = "exhaustive";
   if (const char* env = std::getenv("SUBSHARE_SF")) sf = std::atof(env);
   if (const char* env = std::getenv("SUBSHARE_FUZZ_CACHE")) {
     cache_mode = std::atoi(env) != 0;
-  }
-  if (const char* env = std::getenv("SUBSHARE_FUZZ_STRATEGY")) {
-    strategy_name = env;
   }
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--seed=", 7) == 0) {
@@ -140,8 +125,6 @@ int main(int argc, char** argv) {
       batches = std::atoi(argv[i] + 10);
     } else if (std::strncmp(argv[i], "--sf=", 5) == 0) {
       sf = std::atof(argv[i] + 5);
-    } else if (std::strncmp(argv[i], "--strategy=", 11) == 0) {
-      strategy_name = argv[i] + 11;
     } else if (std::strncmp(argv[i], "--sessions=", 11) == 0) {
       sessions = std::atoi(argv[i] + 11);
     } else if (std::strcmp(argv[i], "--stop-on-first") == 0) {
@@ -154,41 +137,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<subshare::EnumerationStrategy> strategies;
-  if (strategy_name == "all") {
-    strategies = subshare::testing::AllEnumerationStrategies();
-  } else if (auto parsed = subshare::ParseEnumerationStrategy(strategy_name);
-             parsed.has_value()) {
-    strategies = {*parsed};
-  } else {
-    std::fprintf(stderr, "unknown strategy: %s\n", strategy_name.c_str());
-    return 2;
-  }
-  if (cache_mode || sessions > 0) {
-    if (strategies.size() != 1) {
-      std::fprintf(stderr,
-                   "cache / multi-session modes check one strategy per run; "
-                   "pick one of exhaustive|greedy|approximate\n");
-      return 2;
-    }
-    if (sessions > 0) {
-      return RunMultiSessionMode(seed, batches, sf, sessions, strategies[0]);
-    }
-    return RunCacheMode(seed, batches, sf, strategies[0]);
-  }
+  if (sessions > 0) return RunMultiSessionMode(seed, batches, sf, sessions);
+  if (cache_mode) return RunCacheMode(seed, batches, sf);
 
   Catalog catalog;
   subshare::tpch::TpchOptions tpch;
   tpch.scale_factor = sf;
   CHECK(subshare::tpch::LoadTpch(&catalog, tpch).ok());
-  std::printf("fuzz: sf=%g seeds=[%llu, %llu) strategy=%s\n", sf,
+  std::printf("fuzz: sf=%g seeds=[%llu, %llu)\n", sf,
               static_cast<unsigned long long>(seed),
-              static_cast<unsigned long long>(seed + batches),
-              strategy_name.c_str());
+              static_cast<unsigned long long>(seed + batches));
 
-  subshare::testing::DiffOptions diff_options;
-  diff_options.strategies = strategies;
-  DifferentialTester tester(&catalog, diff_options);
+  DifferentialTester tester(&catalog);
   int divergences = 0;
   for (int i = 0; i < batches; ++i) {
     uint64_t batch_seed = seed + static_cast<uint64_t>(i);

@@ -38,10 +38,9 @@ StatusOr<QueryResult> Database::Execute(const std::string& sql,
 cache::BatchFingerprint Database::PlanCacheKey(
     const std::vector<sql::AstSelectPtr>& batch, const QueryOptions& options) {
   cache::BatchFingerprint fp = cache::FingerprintBatch(batch);
-  // The enumeration strategy changes which CSE set (and thus which plan)
-  // is chosen, so plans cached under one strategy must not serve another.
-  fp.text += StrFormat(";;cse=%d;;strat=%s", options.cse.enable_cse ? 1 : 0,
-                       EnumerationStrategyName(options.cse.strategy));
+  // A plan optimized without CSEs must not serve a CSE-enabled request (or
+  // the other way round).
+  fp.text += StrFormat(";;cse=%d", options.cse.enable_cse ? 1 : 0);
   return fp;
 }
 

@@ -56,7 +56,7 @@ struct QueryOptions {
   CseOptimizerOptions cse;
   bool execute = true;       // false: optimize only (planning benchmarks)
   bool use_naive_plan = false;  // bypass the optimizer (reference runs)
-  // Executor knobs (probe prefetching, result recycler).
+  // Executor knobs (result recycler).
   ExecOptions exec;
   // Cross-batch plan/result caching; EXPLAIN and naive-plan runs bypass
   // both caches regardless.

@@ -95,8 +95,7 @@ class CandidateGenerator {
 
   // §4.3.3-style net benefit estimate over the consumers' normal-phase
   // lower bounds:  Σ_i C_i^lower − (max_i C_i^lower + C_W + N·C_R).
-  // Ranks candidates for the enumeration cap and seeds the greedy /
-  // approximate strategies' first-round ordering (core/cse_optimizer).
+  // Ranks candidates for the Bitset64 capacity clamp (core/cse_optimizer).
   double NetBenefit(const CseSpec& spec) const;
 
  private:

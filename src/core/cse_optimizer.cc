@@ -1,13 +1,12 @@
 #include "core/cse_optimizer.h"
 
 #include <algorithm>
-#include <queue>
+#include <optional>
 
 #include "cache/result_cache.h"
 #include "core/cse_key.h"
 #include "optimizer/cost_model.h"
 #include "util/bitset64.h"
-#include "util/env_config.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
@@ -36,43 +35,11 @@ std::vector<TableId> SortedTables(const CseSpec& spec) {
   return std::vector<TableId>(tables.begin(), tables.end());
 }
 
-// The exhaustive strategy costs every subset of a component of at most
-// this many candidates (pruned by Props 5.4–5.6); a larger component gets
-// the greedy loop.
+// Step 3 costs every subset of a component of at most this many candidates
+// (pruned by Props 5.4–5.6); a larger component gets the greedy loop.
 constexpr int kFullSubsetBits = 16;
 
 }  // namespace
-
-const char* EnumerationStrategyName(EnumerationStrategy strategy) {
-  switch (strategy) {
-    case EnumerationStrategy::kExhaustive:
-      return "exhaustive";
-    case EnumerationStrategy::kGreedy:
-      return "greedy";
-    case EnumerationStrategy::kApproximate:
-      return "approximate";
-  }
-  return "exhaustive";
-}
-
-std::optional<EnumerationStrategy> ParseEnumerationStrategy(
-    const std::string& name) {
-  if (name == "exhaustive") return EnumerationStrategy::kExhaustive;
-  if (name == "greedy") return EnumerationStrategy::kGreedy;
-  if (name == "approximate") return EnumerationStrategy::kApproximate;
-  return std::nullopt;
-}
-
-EnumerationStrategy DefaultEnumerationStrategy() {
-  // Snapshotted once per process (util/env_config) — safe under concurrent
-  // sessions. Per-session overrides go through
-  // CseOptimizerOptions::strategy, not the environment.
-  if (auto parsed = ParseEnumerationStrategy(ProcessEnv().enum_strategy);
-      parsed.has_value()) {
-    return *parsed;
-  }
-  return EnumerationStrategy::kExhaustive;
-}
 
 std::vector<uint64_t> InteractionComponents(
     const std::vector<uint64_t>& statement_relevant,
@@ -131,31 +98,6 @@ uint64_t CseQueryOptimizer::UsedMask(const PhysicalNode& plan,
   return used;
 }
 
-PhysicalNodePtr CseQueryOptimizer::Enumerate(GroupId root, int n,
-                                             PhysicalNodePtr normal_plan,
-                                             Bitset64* best_set,
-                                             CseMetrics* metrics) {
-  const uint64_t all = n >= 64 ? ~0ULL : (1ULL << n) - 1;
-  int opts = 0;
-  PhysicalNodePtr best;
-  switch (options_.strategy) {
-    case EnumerationStrategy::kExhaustive:
-      best = EnumerateComponents(root, n, std::move(normal_plan), best_set,
-                                 &opts, metrics->trace);
-      break;
-    case EnumerationStrategy::kGreedy:
-      best = EnumerateGreedy(root, all, std::move(normal_plan), best_set,
-                             &opts, metrics->trace, /*lazy=*/false);
-      break;
-    case EnumerationStrategy::kApproximate:
-      best = EnumerateGreedy(root, all, std::move(normal_plan), best_set,
-                             &opts, metrics->trace, /*lazy=*/true);
-      break;
-  }
-  metrics->cse_optimizations = opts;
-  return best;
-}
-
 // Components are searched in order of their worst-case number of costed
 // sets (2^n - 1 subsets, or n(n+1)/2 greedy trials), so when the shared
 // max_optimizations budget runs out it truncates only the most expensive
@@ -197,7 +139,7 @@ PhysicalNodePtr CseQueryOptimizer::EnumerateComponents(
                        trace);
     } else {
       EnumerateGreedy(root, component, normal_plan, &component_best, opts,
-                      trace, /*lazy=*/false);
+                      trace);
     }
     trace.components.push_back({component, subsets ? "exhaustive" : "greedy",
                                 *opts - before, component_best.Raw()});
@@ -214,156 +156,70 @@ PhysicalNodePtr CseQueryOptimizer::EnumerateComponents(
   return combined;
 }
 
-// The greedy strategies grow the enabled set one candidate per round,
-// always keeping the cheapest plan seen. Cost is monotone non-increasing
-// in the enabled set (enabling a candidate only adds plan alternatives),
-// so the final cost never exceeds the normal (no-sharing) cost. In lazy
-// mode each candidate carries an upper bound on its incremental benefit —
-// the benefit measured the last time it was costed, which only shrinks as
-// the set grows — and the queue's max is re-costed and accepted outright
-// when its fresh benefit still dominates every other bound.
-PhysicalNodePtr CseQueryOptimizer::EnumerateGreedy(GroupId root, uint64_t pool,
-                                                   PhysicalNodePtr normal_plan,
-                                                   Bitset64* best_set,
-                                                   int* opts, OptTrace& trace,
-                                                   bool lazy) {
+// Greedy grows the enabled set one candidate per round, always keeping the
+// cheapest plan seen: every round re-costs all remaining candidates and
+// admits the one with the largest positive incremental benefit. Cost is
+// monotone non-increasing in the enabled set (enabling a candidate only adds
+// plan alternatives), so the final cost never exceeds the normal
+// (no-sharing) cost.
+void CseQueryOptimizer::EnumerateGreedy(GroupId root, uint64_t component,
+                                        const PhysicalNodePtr& normal_plan,
+                                        Bitset64* best_set, int* opts,
+                                        OptTrace& trace) {
   PhysicalNodePtr best = normal_plan;
-  *best_set = Bitset64();
   uint64_t current = 0;
   uint64_t current_used = 0;
-  int round = 0;
-
-  auto try_candidate = [&](int c, double* delta_out,
-                           PhysicalNodePtr* plan_out,
-                           uint64_t* used_out) -> bool {
-    // Costs current ∪ {c}; false when the cap is hit (not when infeasible).
-    if (*opts >= options_.max_optimizations) {
-      trace.enumeration_capped = true;
-      return false;
+  std::vector<int> remaining;
+  for (uint64_t rest = component; rest != 0; rest &= rest - 1) {
+    remaining.push_back(__builtin_ctzll(rest));
+  }
+  bool capped = false;
+  for (int round = 1; !remaining.empty() && !capped; ++round) {
+    double best_delta = 0;
+    int pick = -1;
+    size_t pick_pos = 0;
+    size_t pick_step = 0;
+    PhysicalNodePtr pick_plan;
+    uint64_t pick_used = 0;
+    for (size_t pos = 0; pos < remaining.size(); ++pos) {
+      if (*opts >= options_.max_optimizations) {
+        trace.enumeration_capped = true;
+        capped = true;
+        break;
+      }
+      ++*opts;
+      const int c = remaining[pos];
+      const uint64_t s = current | (1ULL << c);
+      PhysicalNodePtr plan = optimizer_->BestPlan(root, Bitset64(s));
+      std::string note = StrFormat("greedy round %d: +#%d", round, c);
+      if (plan == nullptr) {
+        trace.enumeration.push_back({s, -1, 0, false, std::move(note)});
+        continue;
+      }
+      const uint64_t used = UsedMask(*plan, s);
+      const double delta = best->est_cost - plan->est_cost;
+      trace.enumeration.push_back(
+          {s, plan->est_cost, used, false,
+           note + StrFormat(" (benefit %.2f)", delta)});
+      if (delta > best_delta) {
+        best_delta = delta;
+        pick = c;
+        pick_pos = pos;
+        pick_step = trace.enumeration.size() - 1;
+        pick_plan = std::move(plan);
+        pick_used = used;
+      }
     }
-    ++*opts;
-    uint64_t s = current | (1ULL << c);
-    PhysicalNodePtr plan = optimizer_->BestPlan(root, Bitset64(s));
-    std::string note = StrFormat("%s round %d: +#%d",
-                                 lazy ? "approximate" : "greedy", round, c);
-    if (plan == nullptr) {
-      trace.enumeration.push_back({s, -1, 0, false, std::move(note)});
-      *delta_out = -1;
-      *plan_out = nullptr;
-      return true;
-    }
-    *used_out = UsedMask(*plan, s);
-    *delta_out = best->est_cost - plan->est_cost;
-    trace.enumeration.push_back(
-        {s, plan->est_cost, *used_out, false,
-         note + StrFormat(" (benefit %.2f)", *delta_out)});
-    *plan_out = std::move(plan);
-    return true;
-  };
-  auto accept = [&](int c, PhysicalNodePtr plan, uint64_t used,
-                    size_t step_index) {
-    current |= (1ULL << c);
-    best = std::move(plan);
-    current_used = used;
-    OptTrace::EnumStep& step = trace.enumeration[step_index];
+    if (pick < 0) break;
+    current |= 1ULL << pick;
+    best = std::move(pick_plan);
+    current_used = pick_used;
+    OptTrace::EnumStep& step = trace.enumeration[pick_step];
     step.improved = true;
     step.note += "  [accepted]";
-  };
-
-  if (!lazy) {
-    // Volcano-MQO greedy: every round re-costs all remaining candidates
-    // and admits the one with the largest positive incremental benefit.
-    std::vector<int> remaining;
-    for (uint64_t rest = pool; rest != 0; rest &= rest - 1) {
-      remaining.push_back(__builtin_ctzll(rest));
-    }
-    bool capped = false;
-    while (!remaining.empty() && !capped) {
-      ++round;
-      double best_delta = 0;
-      int pick = -1;
-      size_t pick_pos = 0;
-      size_t pick_step = 0;
-      PhysicalNodePtr pick_plan;
-      uint64_t pick_used = 0;
-      for (size_t pos = 0; pos < remaining.size(); ++pos) {
-        double delta = 0;
-        PhysicalNodePtr plan;
-        uint64_t used = 0;
-        if (!try_candidate(remaining[pos], &delta, &plan, &used)) {
-          capped = true;
-          break;
-        }
-        if (plan != nullptr && delta > best_delta) {
-          best_delta = delta;
-          pick = remaining[pos];
-          pick_pos = pos;
-          pick_step = trace.enumeration.size() - 1;
-          pick_plan = std::move(plan);
-          pick_used = used;
-        }
-      }
-      if (pick < 0) break;
-      accept(pick, std::move(pick_plan), pick_used, pick_step);
-      remaining.erase(remaining.begin() + pick_pos);
-    }
-  } else {
-    // Kathuria–Sudarshan-style lazy greedy over the benefit lattice.
-    // Seed every candidate's bound with its singleton benefit; candidates
-    // whose refreshed benefit is non-positive are pruned permanently
-    // (benefits only shrink as the set grows).
-    using Entry = std::pair<double, int>;  // (stale benefit bound, id)
-    std::priority_queue<Entry> queue;
-    bool capped = false;
-    for (uint64_t rest = pool; rest != 0 && !capped; rest &= rest - 1) {
-      const int c = __builtin_ctzll(rest);
-      ++round;
-      double delta = 0;
-      PhysicalNodePtr plan;
-      uint64_t used = 0;
-      if (!try_candidate(c, &delta, &plan, &used)) {
-        capped = true;
-        break;
-      }
-      if (plan == nullptr || delta <= 0) {
-        trace.prunes.push_back(
-            {StrFormat("candidate #%d", c), "KS",
-             "non-positive singleton benefit; pruned from the lattice"});
-        continue;
-      }
-      queue.push({delta, c});
-    }
-    while (!queue.empty() && !capped) {
-      ++round;
-      auto [bound, c] = queue.top();
-      queue.pop();
-      double delta = 0;
-      PhysicalNodePtr plan;
-      uint64_t used = 0;
-      if (!try_candidate(c, &delta, &plan, &used)) {
-        capped = true;
-        break;
-      }
-      if (plan == nullptr || delta <= 0) {
-        trace.prunes.push_back(
-            {StrFormat("candidate #%d", c), "KS",
-             "refreshed benefit non-positive; pruned from the lattice"});
-        continue;
-      }
-      if (queue.empty() || delta >= queue.top().first) {
-        // Fresh benefit dominates every stale bound: accept without
-        // re-costing the rest of the queue.
-        trace.skipped_stale_bound += static_cast<int64_t>(queue.size());
-        accept(c, std::move(plan), used, trace.enumeration.size() - 1);
-      } else {
-        // Bound was stale; requeue with the (strictly smaller) fresh value.
-        queue.push({delta, c});
-      }
-    }
+    remaining.erase(remaining.begin() + pick_pos);
   }
-
   *best_set = Bitset64(current_used != 0 ? current_used : current);
-  return best;
 }
 
 void CseQueryOptimizer::EnumerateSubsets(GroupId root, uint64_t component,
@@ -476,7 +332,6 @@ ExecutablePlan CseQueryOptimizer::Optimize(
   CHECK(normal_plan != nullptr) << "no feasible plan";
   m->normal_cost = normal_plan->est_cost;
   m->trace.normal_cost = m->normal_cost;
-  m->trace.strategy = EnumerationStrategyName(options_.strategy);
 
   auto finish = [&](PhysicalNodePtr plan, Bitset64 enabled) {
     ExecutablePlan exec = optimizer_->Assemble(std::move(plan), enabled);
@@ -707,8 +562,11 @@ ExecutablePlan CseQueryOptimizer::Optimize(
   CHECK(normal_plan != nullptr);
   Bitset64 best_set;
   WallTimer enum_timer;
-  PhysicalNodePtr best = Enumerate(root, static_cast<int>(specs.size()),
-                                   normal_plan, &best_set, m);
+  int opts = 0;
+  PhysicalNodePtr best =
+      EnumerateComponents(root, static_cast<int>(specs.size()), normal_plan,
+                          &best_set, &opts, m->trace);
+  m->cse_optimizations = opts;
   m->enumerate_seconds = enum_timer.ElapsedSeconds();
   return finish(best, best_set);
 }

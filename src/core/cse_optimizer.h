@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,41 +30,11 @@ namespace cache {
 class ResultCache;
 }  // namespace cache
 
-// How Step 3 searches the space of enabled candidate sets. All strategies
-// produce result-identical plans (the central correctness property and the
-// §5.2 spool-charge invariants hold regardless); only the chosen CSE set —
-// and hence plan cost and optimization time — may differ.
-enum class EnumerationStrategy {
-  // §5.3 subset re-optimization with Props 5.4–5.6 (the paper; default),
-  // run separately on each connected component of the candidate
-  // interaction graph (see InteractionComponents): a component of at most
-  // 16 candidates gets the full subset search, a larger one the greedy loop
-  // below. Optimal whenever every component is small, and
-  // exponential only in the size of the largest such component.
-  kExhaustive,
-  // Volcano-MQO-style greedy (Roy et al.): add the candidate with the best
-  // incremental benefit one at a time, fully re-costing the remaining
-  // candidates each round; the per-(group, enabled ∩ relevant) best-plan
-  // memo means each re-cost touches only the groups the new candidate
-  // affects. O(N²) optimizations.
-  kGreedy,
-  // Kathuria–Sudarshan-style greedy over the benefit lattice: like greedy,
-  // but candidate benefits are kept as lazy upper bounds (benefits shrink
-  // as the set grows), so a popped candidate whose refreshed benefit still
-  // dominates the queue is accepted without re-costing anyone else, and a
-  // candidate whose refreshed benefit drops to zero is pruned for good.
-  // Typically O(N log N) optimizations.
-  kApproximate,
-};
-
-// "exhaustive" / "greedy" / "approximate".
-const char* EnumerationStrategyName(EnumerationStrategy strategy);
-std::optional<EnumerationStrategy> ParseEnumerationStrategy(
-    const std::string& name);
-// Process-wide default: SUBSHARE_ENUM_STRATEGY when set to a valid name
-// (read once), else kExhaustive. Lets CI run the whole suite under another
-// strategy; tests that assert §5.3-specific behavior must pin kExhaustive.
-EnumerationStrategy DefaultEnumerationStrategy();
+// Step 3 has one search (EnumerateComponents): §5.3 subset re-optimization
+// with Props 5.4–5.6 per component of the candidate interaction graph, the
+// greedy loop on a component of more than 16 candidates. The enum keeps its
+// one value because existing callers still assign it.
+enum class EnumerationStrategy { kExhaustive };
 
 struct CseOptimizerOptions {
   bool enable_cse = true;
@@ -82,8 +51,8 @@ struct CseOptimizerOptions {
   // capacity (64) are dropped lowest-net-benefit-first; there is no other
   // candidate cap.
   int max_optimizations = 512;
-  // Enabled-set search strategy (Step 3).
-  EnumerationStrategy strategy = DefaultEnumerationStrategy();
+  // No reader: Step 3 has one search (see EnumerationStrategy).
+  EnumerationStrategy strategy = EnumerationStrategy::kExhaustive;
   // Cross-batch result recycler (not owned; nullptr = disabled). When set,
   // candidates whose canonical key hits a valid cached spool are costed as
   // already-materialized: zero initial cost, C_R per read.
@@ -105,10 +74,9 @@ struct CseMetrics {
   double final_cost = 0;
   double optimize_seconds = 0;
   // Step-2 time: signatures, sharable sets, join compatibility, Algorithm 1
-  // with H1–H3, Heuristic 4 and the capacity clamp. Strategy-invariant.
+  // with H1–H3, Heuristic 4 and the capacity clamp.
   double generate_seconds = 0;
-  // Step-3 enabled-set search time only (the part the EnumerationStrategy
-  // knob changes).
+  // Step-3 enabled-set search time only.
   double enumerate_seconds = 0;
   // (group, context) best-plan computations performed — the work measure
   // that the §5.4 optimization-history reuse keeps low across re-runs.
@@ -148,13 +116,9 @@ class CseQueryOptimizer {
   // (Definition 5.2: competing candidates).
   bool Competing(const CseCandidateInfo& a, const CseCandidateInfo& b) const;
 
-  // Enabled-set search, dispatched on options_.strategy; returns the best
-  // plan and the enabled set that produced it.
-  PhysicalNodePtr Enumerate(GroupId root, int num_candidates,
-                            PhysicalNodePtr normal_plan, Bitset64* best_set,
-                            CseMetrics* metrics);
-  // kExhaustive: searches each interaction component on its own, then
-  // costs the union of the per-component choices once.
+  // Step 3: searches each interaction component on its own, then costs
+  // the union of the per-component choices once; returns the best plan and
+  // the enabled set that produced it.
   PhysicalNodePtr EnumerateComponents(GroupId root, int num_candidates,
                                       PhysicalNodePtr normal_plan,
                                       Bitset64* best_set, int* opts,
@@ -165,13 +129,13 @@ class CseQueryOptimizer {
   void EnumerateSubsets(GroupId root, uint64_t component,
                         const PhysicalNodePtr& normal_plan,
                         Bitset64* best_set, int* opts, OptTrace& trace);
-  // kGreedy (lazy=false) and kApproximate (lazy=true) share the incremental
-  // add-one-candidate loop over the candidates in `pool`; lazy mode adds
-  // the stale-bound pruning.
-  PhysicalNodePtr EnumerateGreedy(GroupId root, uint64_t pool,
-                                  PhysicalNodePtr normal_plan,
-                                  Bitset64* best_set, int* opts,
-                                  OptTrace& trace, bool lazy);
+  // Volcano-MQO greedy (Roy et al.) over the candidates of a component
+  // too large for the subset search: adds the candidate with the best
+  // incremental benefit one round at a time; sets *best_set like
+  // EnumerateSubsets.
+  void EnumerateGreedy(GroupId root, uint64_t component,
+                       const PhysicalNodePtr& normal_plan, Bitset64* best_set,
+                       int* opts, OptTrace& trace);
   // Candidates actually spooled by enough consumers under `enabled_mask`
   // (recycled candidates need one reader, fresh ones two — §5.2).
   uint64_t UsedMask(const PhysicalNode& plan, uint64_t enabled_mask) const;

@@ -79,8 +79,8 @@ std::string OptTrace::ExplainTrace() const {
 
   if (!enumeration.empty() || skipped_prop54 + skipped_prop55 +
                                   skipped_prop56 > 0) {
-    out += StrFormat("enumeration [%s]: %d set(s) optimized%s\n",
-                     strategy.c_str(), static_cast<int>(enumeration.size()),
+    out += StrFormat("enumeration: %d set(s) optimized%s\n",
+                     static_cast<int>(enumeration.size()),
                      enumeration_capped ? "  [capped]" : "");
     for (const EnumStep& e : enumeration) {
       std::string note = e.note.empty() ? "" : "  (" + e.note + ")";
@@ -102,12 +102,6 @@ std::string OptTrace::ExplainTrace() const {
           static_cast<long long>(skipped_prop55),
           static_cast<long long>(skipped_prop56));
     }
-    if (skipped_stale_bound > 0) {
-      out += StrFormat(
-          "  accepted on stale lazy bound without re-costing: %lld "
-          "candidate evaluation(s) saved\n",
-          static_cast<long long>(skipped_stale_bound));
-    }
   }
 
   if (!cache_events.empty()) {
@@ -119,9 +113,8 @@ std::string OptTrace::ExplainTrace() const {
   }
 
   out += StrFormat(
-      "chosen set: %s via %s  (normal cost %.2f -> final cost %.2f)\n",
-      MaskToString(chosen_set).c_str(), strategy.c_str(), normal_cost,
-      final_cost);
+      "chosen set: %s  (normal cost %.2f -> final cost %.2f)\n",
+      MaskToString(chosen_set).c_str(), normal_cost, final_cost);
   return out;
 }
 

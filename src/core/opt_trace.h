@@ -31,11 +31,10 @@ struct OptTrace {
   };
 
   // Heuristic and capacity prunes (§4.3 H1–H4; "capacity": beyond the 64
-  // candidates a Bitset64 enabled-set mask can hold; "KS": the approximate
-  // strategy's lattice pruning).
+  // candidates a Bitset64 enabled-set mask can hold).
   struct Prune {
     std::string what;    // candidate / consumer / set description
-    std::string rule;    // "H1", "H2", "H3", "H4", "capacity", "KS"
+    std::string rule;    // "H1", "H2", "H3", "H4", "capacity"
     std::string detail;
   };
 
@@ -46,20 +45,20 @@ struct OptTrace {
     int num_consumers = 0;
   };
 
-  // Enumeration: one entry per enabled set actually optimized. Under the
-  // exhaustive strategy these are §5.3 subset steps; the greedy /
-  // approximate strategies tag each step with a provenance note ("greedy
-  // round 2: try +#3") so a report is never misread as §5 subset steps.
+  // Enumeration: one entry per enabled set actually optimized. Subset
+  // searches record §5.3 subset steps; the greedy loop on a large component
+  // tags each step with a provenance note ("greedy round 2: +#3") so a
+  // report is never misread as §5 subset steps.
   struct EnumStep {
     uint64_t subset = 0;    // enabled candidate bitmask
     double cost = 0;        // best plan cost under this set (<0: infeasible)
     uint64_t used = 0;      // candidates spooled by >= 2 consumers
     bool improved = false;  // became the best plan so far
-    std::string note;       // strategy provenance; empty for exhaustive §5.3
+    std::string note;       // greedy provenance; empty for §5.3 subsets
   };
 
-  // Exhaustive strategy: one entry per connected component of the
-  // candidate interaction graph, in search order.
+  // One entry per connected component of the candidate interaction graph,
+  // in search order.
   struct Component {
     uint64_t members = 0;   // candidate-id mask
     std::string method;     // "exhaustive" (subset search) or "greedy"
@@ -85,12 +84,6 @@ struct OptTrace {
   // Candidates dropped beyond Bitset64 capacity: candidate ids are mask
   // bits, so at most 64 survive.
   int64_t candidates_dropped = 0;
-  // Which strategy produced the enumeration steps above ("exhaustive",
-  // "greedy", "approximate") — the chosen-set provenance.
-  std::string strategy = "exhaustive";
-  // Approximate strategy only: candidates accepted on a stale lazy bound
-  // without re-costing the rest of the queue (Kathuria–Sudarshan pruning).
-  int64_t skipped_stale_bound = 0;
 
   uint64_t chosen_set = 0;
   double normal_cost = 0;

@@ -17,20 +17,8 @@ struct StatementResult {
   std::vector<Row> rows;
 };
 
-// True unless SUBSHARE_PREFETCH=0 is set in the environment (snapshotted
-// once per process by util/env_config — safe under concurrent sessions).
-// Default for ExecOptions::prefetch, so the knob reaches every execution —
-// including the differential fuzzer — without plumbing. Per-session
-// overrides set ExecOptions::prefetch (via QueryOptions::exec) instead of
-// touching the environment.
-bool DefaultPrefetchEnabled();
-
 // Execution knobs, orthogonal to plan choice.
 struct ExecOptions {
-  // AMAC-interleaved hash-join probes + build-side bucket prefetch
-  // (DESIGN.md §11). Off runs the straight-line reference loops; results
-  // must be identical either way.
-  bool prefetch = DefaultPrefetchEnabled();
   // Cross-batch CSE result recycler (not owned; nullptr = disabled). For
   // each keyed CsePlan, a valid cached spool is installed into the work
   // table instead of evaluating the plan; freshly evaluated spools are
@@ -61,7 +49,6 @@ struct ExecutionMetrics {
   int64_t probe_windows = 0;     // batched hash-join probe windows (FindBatch)
   int64_t probe_keys = 0;        // probe keys resolved through those windows
   int probe_in_flight = 0;       // max in-flight probe states observed
-  bool prefetch_enabled = true;  // mode the probes ran in
   double elapsed_seconds = 0;
   std::vector<OperatorMetrics> operators;  // empty when metrics not requested
 

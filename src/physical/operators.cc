@@ -148,12 +148,10 @@ class JoinOutput {
 // group table (ResetGroups / FindOrInsert) the ids are group ids, keyed the
 // same two ways. Building and probing do no per-row allocation.
 //
-// Probes run per window through FindBatch (DESIGN.md §11): with prefetch
-// enabled it is an AMAC-style state machine — up to kInFlight lookups in
-// flight, each issuing a prefetch for its next slot line and yielding, so
-// the DRAM latencies of a window's cache misses overlap instead of
-// serializing. With prefetch disabled it is the straight-line reference
-// loop (single-entry memo for clustered keys, e.g. lineitem by l_orderkey).
+// Probes run per window through FindBatch (DESIGN.md §11), an AMAC-style
+// state machine: up to kInFlight lookups in flight, each issuing a prefetch
+// for its next slot line and yielding, so the DRAM latencies of a window's
+// cache misses overlap instead of serializing.
 struct ChainTable {
   struct Slot {
     uint64_t key;       // valid where head >= 0
@@ -176,17 +174,16 @@ struct ChainTable {
 
   // Inserts keys[i] -> rows[i] chains. `num_rows` sizes next (row indexes
   // index into it); n <= num_rows since null-key rows are pre-filtered by
-  // the caller. With `prefetch`, the slot line of the insert kBuildLookahead
-  // ahead is requested before probing the current one.
-  void Build(const uint64_t* keys, const int32_t* rows, int n, int num_rows,
-             bool prefetch) {
+  // the caller. The slot line of the insert kBuildLookahead ahead is
+  // requested before probing the current one.
+  void Build(const uint64_t* keys, const int32_t* rows, int n, int num_rows) {
     size_t cap = 16;
     while (cap < static_cast<size_t>(num_rows) * 2) cap <<= 1;
     mask = cap - 1;
     slots.assign(cap, Slot());
     next.assign(static_cast<size_t>(num_rows), -1);
     for (int i = 0; i < n; ++i) {
-      if (prefetch && i + kBuildLookahead < n) {
+      if (i + kBuildLookahead < n) {
         PrefetchRead(&slots[Mix(keys[i + kBuildLookahead]) & mask]);
       }
       const uint64_t k = keys[i];
@@ -196,15 +193,6 @@ struct ChainTable {
       next[static_cast<size_t>(rows[i])] = slots[s].head;
       slots[s].head = rows[i];
     }
-  }
-
-  int32_t Find(uint64_t k) const {
-    size_t s = Mix(k) & mask;
-    while (slots[s].head >= 0) {
-      if (slots[s].key == k) return slots[s].head;
-      s = (s + 1) & mask;
-    }
-    return -1;
   }
 
   // Grouping use (hash aggregation): the table maps key -> chain of group
@@ -257,24 +245,8 @@ struct ChainTable {
 
   // Resolves the chain head for each of keys[0, n) into heads[0, n).
   // Returns the in-flight depth used (for the probe counters).
-  int FindBatch(const uint64_t* keys, int n, int32_t* heads,
-                bool prefetch) const {
+  int FindBatch(const uint64_t* keys, int n, int32_t* heads) const {
     if (n == 0) return 0;
-    if (!prefetch) {
-      // Straight-line reference path; the memo serves clustered inputs.
-      uint64_t last_key = 0;
-      int32_t last_head = -1;
-      bool has_last = false;
-      for (int i = 0; i < n; ++i) {
-        if (!has_last || keys[i] != last_key) {
-          has_last = true;
-          last_key = keys[i];
-          last_head = Find(last_key);
-        }
-        heads[i] = last_head;
-      }
-      return 1;
-    }
     struct State {
       int idx;      // index into keys/heads
       size_t slot;  // current slot under inspection
@@ -478,11 +450,10 @@ class FilterOp : public Operator {
 
 // Hash join: builds on the right child, probes with the left. Batched
 // probes extract keys per window (in place, no key row allocated) and
-// resolve all chain heads through ChainTable::FindBatch — AMAC-interleaved
-// when ExecContext::prefetch is set, straight-line otherwise. When the
-// probe child is a scan over stable storage (ScanSource), the probe fuses
-// with it: windows of the backing rows are filtered and probed in place,
-// skipping the scan's per-row output copies entirely.
+// resolve all chain heads through ChainTable::FindBatch (AMAC-interleaved).
+// When the probe child is a scan over stable storage (ScanSource), the probe
+// fuses with it: windows of the backing rows are filtered and probed in
+// place, skipping the scan's per-row output copies entirely.
 class HashJoinOp : public Operator {
  public:
   HashJoinOp(const PhysicalNode& node, ExecContext* ctx)
@@ -531,7 +502,7 @@ class HashJoinOp : public Operator {
       key_rows.push_back(static_cast<int32_t>(i));
     }
     table_.Build(keys.data(), key_rows.data(), static_cast<int>(keys.size()),
-                 static_cast<int>(build_rows_.size()), ctx_->prefetch);
+                 static_cast<int>(build_rows_.size()));
 
     left_->Open();
     // Scan fusion: probe the left scan's backing rows in place. Probe-side
@@ -707,7 +678,7 @@ class HashJoinOp : public Operator {
     win_heads_.resize(win_keys_.size());
     int depth = table_.FindBatch(win_keys_.data(),
                                  static_cast<int>(win_keys_.size()),
-                                 win_heads_.data(), ctx_->prefetch);
+                                 win_heads_.data());
     for (size_t j = 0; j < key_rows_.size(); ++j) {
       batch_heads_[static_cast<size_t>(key_rows_[j])] = win_heads_[j];
     }
@@ -810,8 +781,8 @@ class HashJoinOp : public Operator {
         }
       }
       win_heads_.resize(static_cast<size_t>(count));
-      int depth = table_.FindBatch(win_keys_.data(), count, win_heads_.data(),
-                                   ctx_->prefetch);
+      int depth =
+          table_.FindBatch(win_keys_.data(), count, win_heads_.data());
       NoteProbeWindow(count, depth);
       fused_->stats->rows_out += count;
       stats_->rows_in += count;

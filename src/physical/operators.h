@@ -43,11 +43,6 @@ struct OperatorStats {
 struct ExecContext {
   WorkTableManager* work_tables = nullptr;
 
-  // AMAC/group-prefetch interleaving in the batched hash-join probe (and
-  // build-side bucket prefetch). Off = the straight-line reference loops;
-  // both paths must produce identical results (differentially fuzzed).
-  bool prefetch = true;
-
   int64_t rows_scanned = 0;      // base-table + work-table rows read
   int64_t rows_spooled = 0;      // rows written into work tables
   int64_t spool_rows_read = 0;   // rows read back out of work tables

@@ -37,6 +37,18 @@ bool IsNumeric(DataType t) {
          t == DataType::kDate;
 }
 
+// The evaluator reads arithmetic operands as numbers, so a string operand
+// is a bind error, like a string-vs-number comparison. Unary minus on a
+// non-literal parses as 0 - x and lands here too.
+StatusOr<ExprPtr> BindArith(AstArith op, ExprPtr lhs, ExprPtr rhs) {
+  if (lhs->type == DataType::kString || rhs->type == DataType::kString) {
+    return Status::InvalidArgument("type mismatch in arithmetic: " +
+                                   DataTypeName(lhs->type) + " vs " +
+                                   DataTypeName(rhs->type));
+  }
+  return Expr::Arith(LowerArith(op), std::move(lhs), std::move(rhs));
+}
+
 // One FROM entry in scope: a base table or a derived table (subquery).
 struct ScopeEntry {
   std::string alias;
@@ -249,7 +261,7 @@ StatusOr<ExprPtr> Binder::BindScalar(const AstExpr& ast, bool allow_subquery) {
     case AstExprKind::kArith: {
       ASSIGN_OR_RETURN(ExprPtr l, BindScalar(*ast.children[0], allow_subquery));
       ASSIGN_OR_RETURN(ExprPtr r, BindScalar(*ast.children[1], allow_subquery));
-      return Expr::Arith(LowerArith(ast.arith), l, r);
+      return BindArith(ast.arith, std::move(l), std::move(r));
     }
     case AstExprKind::kAggregate:
       return Status::InvalidArgument(
@@ -286,6 +298,12 @@ StatusOr<ExprPtr> Binder::BindAboveAgg(const AstExpr& ast,
       if (!ast.count_star) {
         ASSIGN_OR_RETURN(arg,
                          BindScalar(*ast.children[0], /*allow_subquery=*/false));
+        // SUM and AVG accumulate numbers; MIN, MAX and COUNT take any type.
+        if ((ast.name == "sum" || ast.name == "avg") &&
+            arg->type == DataType::kString) {
+          return Status::InvalidArgument("type mismatch: " + ast.name +
+                                         " over " + DataTypeName(arg->type));
+        }
       }
       if (ast.name == "avg") {
         // AVG(x) -> SUM(x) / COUNT(x); the 1.0 factor forces double
@@ -346,7 +364,7 @@ StatusOr<ExprPtr> Binder::BindAboveAgg(const AstExpr& ast,
     case AstExprKind::kArith: {
       ASSIGN_OR_RETURN(ExprPtr l, BindAboveAgg(*ast.children[0], allow_subquery));
       ASSIGN_OR_RETURN(ExprPtr r, BindAboveAgg(*ast.children[1], allow_subquery));
-      return Expr::Arith(LowerArith(ast.arith), l, r);
+      return BindArith(ast.arith, std::move(l), std::move(r));
     }
     case AstExprKind::kSubquery:
       if (!allow_subquery) {

@@ -1,7 +1,6 @@
 #include "testing/cache_differential.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -10,56 +9,6 @@
 #include "util/string_util.h"
 
 namespace subshare::testing {
-
-namespace {
-
-bool ValuesClose(const Value& a, const Value& b) {
-  if (a.is_null() || b.is_null()) return a.is_null() == b.is_null();
-  if (a.type() == DataType::kString || b.type() == DataType::kString) {
-    return a.type() == b.type() && a.AsString() == b.AsString();
-  }
-  double x = a.AsDouble();
-  double y = b.AsDouble();
-  double tol = 1e-6 * std::max({1.0, std::fabs(x), std::fabs(y)});
-  return std::fabs(x - y) <= tol;
-}
-
-std::string CanonRow(const Row& r) {
-  std::string out;
-  for (const Value& v : r) out += v.ToString() + "|";
-  return out;
-}
-
-// Order-insensitive comparison of one statement's result multiset.
-bool SameMultiset(const std::vector<Row>& a, const std::vector<Row>& b,
-                  std::string* why) {
-  if (a.size() != b.size()) {
-    *why = StrFormat("%zu vs %zu rows", a.size(), b.size());
-    return false;
-  }
-  std::vector<Row> sa = a, sb = b;
-  auto by_canon = [](const Row& x, const Row& y) {
-    return CanonRow(x) < CanonRow(y);
-  };
-  std::sort(sa.begin(), sa.end(), by_canon);
-  std::sort(sb.begin(), sb.end(), by_canon);
-  for (size_t i = 0; i < sa.size(); ++i) {
-    if (sa[i].size() != sb[i].size()) {
-      *why = StrFormat("row %zu arity", i);
-      return false;
-    }
-    for (size_t c = 0; c < sa[i].size(); ++c) {
-      if (!ValuesClose(sa[i][c], sb[i][c])) {
-        *why = StrFormat("row %zu col %zu: '%s' vs '%s'", i, c,
-                         CanonRow(sa[i]).c_str(), CanonRow(sb[i]).c_str());
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-}  // namespace
 
 int64_t MaxEstimatedRows(const std::string& plan_text) {
   int64_t max_rows = 0;
@@ -85,7 +34,7 @@ bool SameResults(const QueryResult& a, const QueryResult& b,
   }
   for (size_t s = 0; s < a.statements.size(); ++s) {
     std::string detail;
-    if (!SameMultiset(a.statements[s].rows, b.statements[s].rows, &detail)) {
+    if (!SameRowMultiset(a.statements[s].rows, b.statements[s].rows, &detail)) {
       *why = StrFormat("statement %zu: %s", s, detail.c_str());
       return false;
     }

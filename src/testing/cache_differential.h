@@ -23,9 +23,9 @@
 
 namespace subshare::testing {
 
-// Order-insensitive, epsilon-tolerant comparison of two executions' result
-// multisets, statement by statement. Shared by the cache-mode checker and
-// the multi-session checker (testing/multi_session.h).
+// SameRowMultiset (testing/differential.h) over two executions' results,
+// statement by statement. Used by the cache-mode checker and the
+// multi-session checker (testing/multi_session.h).
 bool SameResults(const QueryResult& a, const QueryResult& b,
                  std::string* why);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
@@ -18,32 +17,26 @@ namespace subshare::testing {
 
 namespace {
 
-std::string CanonRow(const Row& row) {
+// "v1|v2|..." for divergence reports; rendered only on a mismatch.
+std::string RenderRow(const Row& row) {
   std::string out;
   for (const Value& v : row) {
     if (!out.empty()) out += "|";
-    if (v.is_null()) {
-      out += "NULL";
-    } else if (v.type() == DataType::kDouble) {
-      out += StrFormat("%.3f", v.AsDouble());
-    } else {
-      out += v.ToString();
-    }
+    out += v.is_null() || v.type() != DataType::kDouble
+               ? v.ToString()
+               : StrFormat("%.17g", v.AsDouble());
   }
   return out;
 }
 
-// Lexicographic row order by Value::Compare, for the tolerant comparison.
-bool RowLess(const Row& a, const Row& b) {
-  for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-    int c = a[i].Compare(b[i]);
-    if (c != 0) return c < 0;
-  }
-  return a.size() < b.size();
-}
-
+// The match test: doubles within relative 1e-6 (different join orders
+// accumulate floating-point aggregates in different orders), strings equal
+// as strings, every other value exactly equal.
 bool ValuesClose(const Value& a, const Value& b) {
   if (a.is_null() || b.is_null()) return a.is_null() == b.is_null();
+  if (a.type() == DataType::kString || b.type() == DataType::kString) {
+    return a.type() == b.type() && a.AsString() == b.AsString();
+  }
   if (a.type() == DataType::kDouble || b.type() == DataType::kDouble) {
     double x = a.AsDouble(), y = b.AsDouble();
     double scale = std::max({1.0, std::fabs(x), std::fabs(y)});
@@ -52,42 +45,65 @@ bool ValuesClose(const Value& a, const Value& b) {
   return a.Compare(b) == 0;
 }
 
-// Multiset equality with an epsilon-tolerant fallback: different join orders
-// accumulate floating-point aggregates in different orders, so exact string
-// equality (doubles at %.3f) can flag rounding, not bugs.
-bool MultisetEqual(const std::vector<Row>& a, const std::vector<Row>& b,
-                   std::string* why) {
-  if (a.size() != b.size()) {
-    *why = StrFormat("row counts differ: %zu vs %zu", a.size(), b.size());
-    return false;
-  }
-  std::vector<std::string> ca, cb;
-  ca.reserve(a.size());
-  cb.reserve(b.size());
-  for (const Row& r : a) ca.push_back(CanonRow(r));
-  for (const Row& r : b) cb.push_back(CanonRow(r));
-  std::sort(ca.begin(), ca.end());
-  std::sort(cb.begin(), cb.end());
-  if (ca == cb) return true;
+// One value of a row's sort key: numbers as doubles, doubles rounded to
+// 1e-3 so that near-equal values on the two sides sort alike and pair up.
+struct KeyPart {
+  bool null = false;
+  double num = 0;
+  const std::string* str = nullptr;  // set for strings
 
-  std::vector<Row> sa = a, sb = b;
-  std::sort(sa.begin(), sa.end(), RowLess);
-  std::sort(sb.begin(), sb.end(), RowLess);
-  for (size_t i = 0; i < sa.size(); ++i) {
-    if (sa[i].size() != sb[i].size()) {
-      *why = StrFormat("row %zu: arity %zu vs %zu", i, sa[i].size(),
-                       sb[i].size());
-      return false;
-    }
-    for (size_t c = 0; c < sa[i].size(); ++c) {
-      if (!ValuesClose(sa[i][c], sb[i][c])) {
-        *why = StrFormat("row %zu col %zu: '%s' vs '%s'", i, c,
-                         CanonRow(sa[i]).c_str(), CanonRow(sb[i]).c_str());
-        return false;
-      }
-    }
+  int Compare(const KeyPart& o) const {
+    if (null || o.null) return static_cast<int>(o.null) - static_cast<int>(null);
+    if (str != nullptr && o.str != nullptr) return str->compare(*o.str);
+    if ((str != nullptr) != (o.str != nullptr)) return str != nullptr ? 1 : -1;
+    return num < o.num ? -1 : (num > o.num ? 1 : 0);
   }
-  return true;
+};
+
+struct KeyedRow {
+  std::vector<KeyPart> key;
+  const Row* row;
+};
+
+// Sorts `rows` by their keys, each built once; rows whose keys tie are
+// ordered by their exact values.
+std::vector<KeyedRow> SortByKey(const std::vector<Row>& rows) {
+  std::vector<KeyedRow> keyed;
+  keyed.reserve(rows.size());
+  for (const Row& row : rows) {
+    KeyedRow k{{}, &row};
+    k.key.reserve(row.size());
+    for (const Value& v : row) {
+      KeyPart part;
+      if (v.is_null()) {
+        part.null = true;
+      } else if (v.type() == DataType::kString) {
+        part.str = &v.AsString();
+      } else if (v.type() == DataType::kDouble) {
+        part.num = std::nearbyint(v.AsDouble() * 1e3);
+      } else {
+        part.num = static_cast<double>(v.AsInt64()) * 1e3;
+      }
+      k.key.push_back(part);
+    }
+    keyed.push_back(std::move(k));
+  }
+  std::sort(keyed.begin(), keyed.end(),
+            [](const KeyedRow& x, const KeyedRow& y) {
+              for (size_t i = 0; i < x.key.size() && i < y.key.size(); ++i) {
+                int c = x.key[i].Compare(y.key[i]);
+                if (c != 0) return c < 0;
+              }
+              if (x.key.size() != y.key.size()) {
+                return x.key.size() < y.key.size();
+              }
+              for (size_t i = 0; i < x.row->size(); ++i) {
+                int c = (*x.row)[i].Compare((*y.row)[i]);
+                if (c != 0) return c < 0;
+              }
+              return false;
+            });
+  return keyed;
 }
 
 void CountSpoolScans(const PhysicalNode& node, std::map<int, int>* scans) {
@@ -99,9 +115,30 @@ void CountSpoolScans(const PhysicalNode& node, std::map<int, int>* scans) {
 
 }  // namespace
 
-std::vector<EnumerationStrategy> AllEnumerationStrategies() {
-  return {EnumerationStrategy::kExhaustive, EnumerationStrategy::kGreedy,
-          EnumerationStrategy::kApproximate};
+bool SameRowMultiset(const std::vector<Row>& a, const std::vector<Row>& b,
+                     std::string* why) {
+  if (a.size() != b.size()) {
+    *why = StrFormat("row counts differ: %zu vs %zu", a.size(), b.size());
+    return false;
+  }
+  std::vector<KeyedRow> sa = SortByKey(a);
+  std::vector<KeyedRow> sb = SortByKey(b);
+  for (size_t i = 0; i < sa.size(); ++i) {
+    const Row& x = *sa[i].row;
+    const Row& y = *sb[i].row;
+    if (x.size() != y.size()) {
+      *why = StrFormat("row %zu: arity %zu vs %zu", i, x.size(), y.size());
+      return false;
+    }
+    for (size_t c = 0; c < x.size(); ++c) {
+      if (!ValuesClose(x[c], y[c])) {
+        *why = StrFormat("row %zu col %zu: '%s' vs '%s'", i, c,
+                         RenderRow(x).c_str(), RenderRow(y).c_str());
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 std::string PlanInvariantViolation(const ExecutablePlan& plan) {
@@ -190,15 +227,12 @@ DifferentialTester::DifferentialTester(Catalog* catalog, DiffOptions options)
     : catalog_(catalog), options_(std::move(options)) {}
 
 std::optional<Divergence> DifferentialTester::Check(const std::string& sql) {
-  // Bind + plan once per planner (one CSE plan per enumeration strategy)
-  // and execute each plan once.
+  // Bind + plan once per planner and execute each plan once. Each plan gets
+  // its own context; both must outlive plan execution.
   QueryContext naive_ctx(catalog_);
   auto naive_bound = sql::BindSql(sql, &naive_ctx);
   if (!naive_bound.ok()) return std::nullopt;  // front-end error: no diverge
   ExecutablePlan naive_plan = NaivePlanBatch(*naive_bound, &naive_ctx);
-
-  std::vector<EnumerationStrategy> strategies = options_.strategies;
-  if (strategies.empty()) strategies = {options_.cse.strategy};
 
   size_t num_stmts = naive_bound->size();
   statements_checked_ += static_cast<int64_t>(num_stmts);
@@ -213,76 +247,43 @@ std::optional<Divergence> DifferentialTester::Check(const std::string& sql) {
     return d;
   };
 
-  // One CSE plan per strategy. The contexts must outlive plan execution.
-  struct CseRun {
-    std::string label;        // "cse[exhaustive]"
-    ExecutablePlan plan;
-    std::string trace;        // ExplainTrace() of this strategy's run
-  };
-  std::vector<std::unique_ptr<QueryContext>> cse_ctxs;
-  std::vector<CseRun> cse_runs;
-  for (EnumerationStrategy strategy : strategies) {
-    cse_ctxs.push_back(std::make_unique<QueryContext>(catalog_));
-    auto bound = sql::BindSql(sql, cse_ctxs.back().get());
-    CHECK(bound.ok()) << "bind not deterministic: " << sql;
-    CseOptimizerOptions cse_options = options_.cse;
-    cse_options.strategy = strategy;
-    CseQueryOptimizer cse_opt(cse_ctxs.back().get(), cse_options);
-    CseMetrics metrics;
-    CseRun run;
-    run.label = StrFormat("cse[%s]", EnumerationStrategyName(strategy));
-    run.plan = cse_opt.Optimize(*bound, &metrics);
-    run.trace = metrics.trace.ExplainTrace();
-
-    if (options_.check_plan_invariants) {
-      std::string violation = PlanInvariantViolation(run.plan);
-      if (!violation.empty()) {
-        return fail("plan-invariant", run.label + ": " + violation,
-                    run.trace);
-      }
+  QueryContext cse_ctx(catalog_);
+  auto bound = sql::BindSql(sql, &cse_ctx);
+  CHECK(bound.ok()) << "bind not deterministic: " << sql;
+  CseQueryOptimizer cse_opt(&cse_ctx, options_.cse);
+  CseMetrics metrics;
+  ExecutablePlan cse_plan = cse_opt.Optimize(*bound, &metrics);
+  std::string trace = metrics.trace.ExplainTrace();
+  if (options_.check_plan_invariants) {
+    std::string violation = PlanInvariantViolation(cse_plan);
+    if (!violation.empty()) {
+      return fail("plan-invariant", "cse: " + violation, trace);
     }
-    cse_runs.push_back(std::move(run));
   }
 
-  struct ConfigRun {
-    std::string name;
-    const ExecutablePlan* plan;
-    const std::string* trace;  // nullptr for the naive configuration
-  };
-  std::vector<ConfigRun> runs = {{"naive/batch", &naive_plan, nullptr}};
-  for (const CseRun& run : cse_runs) {
-    runs.push_back({run.label + "/batch", &run.plan, &run.trace});
-  }
-
-  auto trace_of = [&](const ConfigRun& run) {
-    // Attach the diverging strategy's trace; a naive-only divergence still
-    // reports the first strategy's decisions for context.
-    if (run.trace != nullptr) return *run.trace;
-    return cse_runs.empty() ? std::string() : cse_runs.front().trace;
-  };
-  std::vector<std::vector<StatementResult>> results;
-  for (const ConfigRun& run : runs) {
-    results.push_back(ExecutePlan(*run.plan, nullptr));
-    if (results.back().size() != num_stmts) {
+  // naive/batch (merge and nested-loop joins only) is the reference. A
+  // naive-only failure still reports the CSE run's decisions for context.
+  const std::vector<StatementResult> naive_results =
+      ExecutePlan(naive_plan, nullptr);
+  const std::vector<StatementResult> cse_results =
+      ExecutePlan(cse_plan, nullptr);
+  for (const auto& [name, results] :
+       {std::pair{"naive/batch", &naive_results},
+        std::pair{"cse/batch", &cse_results}}) {
+    if (results->size() != num_stmts) {
       return fail("error",
                   StrFormat("%s produced %zu statement results, expected %zu",
-                            run.name.c_str(), results.back().size(),
-                            num_stmts),
-                  trace_of(run));
+                            name, results->size(), num_stmts),
+                  trace);
     }
   }
-
-  // naive/batch (merge and nested-loop joins only) is the reference;
-  // compare every CSE plan to it.
-  for (size_t cfg = 1; cfg < results.size(); ++cfg) {
-    for (size_t s = 0; s < num_stmts; ++s) {
-      std::string why;
-      if (!MultisetEqual(results[0][s].rows, results[cfg][s].rows, &why)) {
-        return fail("result-mismatch",
-                    StrFormat("statement %zu: naive/batch vs %s: %s", s,
-                              runs[cfg].name.c_str(), why.c_str()),
-                    trace_of(runs[cfg]));
-      }
+  for (size_t s = 0; s < num_stmts; ++s) {
+    std::string why;
+    if (!SameRowMultiset(naive_results[s].rows, cse_results[s].rows, &why)) {
+      return fail("result-mismatch",
+                  StrFormat("statement %zu: naive/batch vs cse/batch: %s", s,
+                            why.c_str()),
+                  trace);
     }
   }
   return std::nullopt;

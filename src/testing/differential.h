@@ -1,17 +1,14 @@
-// Differential query checker: executes a SQL batch under 1 + #strategies
+// Differential query checker: executes a SQL batch under two
 // configurations —
 //
 //     the naive reference plan (sort-merge and nested-loop joins only, so it
-//     shares no hash-table code with the plans it judges), and one CSE plan
-//     per configured enumeration strategy (§5.3 exhaustive by default; with
-//     a strategy sweep, greedy and approximate too)
+//     shares no hash-table code with the plans it judges), and the CSE plan
 //
 // — and cross-checks that every statement produces the same result multiset
 // (the repo's central correctness property: CSE sharing must be invisible in
-// results regardless of which strategy picked the CSE set).
-// CSE plans are additionally checked against the §5.2 cost/spool
-// invariants: every materialized candidate is read by at least two spool
-// scans, its initial cost C_E + C_W is charged exactly once (one
+// results). The CSE plan is additionally checked against the §5.2
+// cost/spool invariants: every materialized candidate is read by at least
+// two spool scans, its initial cost C_E + C_W is charged exactly once (one
 // finalization at the LCA), and stacked CSEs appear in dependency order.
 //
 // When a generated batch diverges, CheckBatch() greedily shrinks the
@@ -31,17 +28,19 @@
 namespace subshare::testing {
 
 struct DiffOptions {
-  CseOptimizerOptions cse;           // options for the CSE configurations
-  // Enumeration strategies to cross-check. Empty (the default) runs just
-  // cse.strategy; listing several optimizes the batch once per strategy
-  // and checks plan invariants and result multisets for each.
-  std::vector<EnumerationStrategy> strategies;
+  CseOptimizerOptions cse;           // options for the CSE configuration
   bool check_plan_invariants = true;
   int max_shrink_steps = 64;         // accepted reductions before giving up
 };
 
-// The full strategy sweep: {exhaustive, greedy, approximate}.
-std::vector<EnumerationStrategy> AllEnumerationStrategies();
+// Order-insensitive comparison of two result multisets (one statement's
+// rows), shared by every differential checker. Both sides are sorted on a
+// key built once per row — doubles rounded to 1e-3 so near-equal values
+// still pair up, ties broken by the exact values — and the i-th rows must
+// match value by value: doubles within relative 1e-6, every other value
+// exactly. On a mismatch *why names the first differing pair.
+bool SameRowMultiset(const std::vector<Row>& a, const std::vector<Row>& b,
+                     std::string* why);
 
 // A confirmed disagreement between configurations (or a violated plan
 // invariant), with a minimized reproducer.

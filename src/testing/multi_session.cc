@@ -91,7 +91,6 @@ MultiSessionReport RunMultiSessionFuzz(Database* db,
   QueryOptions naive;
   naive.use_naive_plan = true;
   QueryOptions cached;
-  cached.cse.strategy = options.strategy;
   cached.cache.plan_cache = true;
   cached.cache.result_cache = true;
 

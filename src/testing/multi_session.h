@@ -39,7 +39,6 @@ struct MultiSessionOptions {
   // random base table after its differential check — the concurrent
   // version-bump traffic.
   double append_prob = 0.25;
-  EnumerationStrategy strategy = EnumerationStrategy::kExhaustive;
   // Batches whose naive plan estimates more rows than this at any operator
   // are pre-screened out (see CacheDiffOptions::max_estimated_rows).
   int64_t max_estimated_rows = 200'000;

@@ -6,12 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "core/cse_optimizer.h"
 #include "exec/executor.h"
 #include "sql/binder.h"
 #include "testing/query_gen.h"
 #include "tpch/tpch.h"
+#include "util/bitset64.h"
 
 namespace subshare {
 namespace {
@@ -98,9 +103,6 @@ TEST_P(EnumerationParamTest, PrunedEnumerationMatchesExhaustiveMinimum) {
   ASSERT_TRUE(stmts.ok());
   CseOptimizerOptions options;
   options.enable_heuristics = false;  // keep every candidate
-  // This test asserts §5.3-specific optimality; pin the strategy so the
-  // suite stays green under SUBSHARE_ENUM_STRATEGY=greedy CI runs.
-  options.strategy = EnumerationStrategy::kExhaustive;
   CseQueryOptimizer optimizer(&ctx, options);
   CseMetrics metrics;
   ExecutablePlan chosen = optimizer.Optimize(*stmts, &metrics);
@@ -166,7 +168,6 @@ TEST_F(EnumerationTest, ComponentSearchMatchesBruteForceOnGeneratedBatches) {
     if (!stmts.ok()) continue;
     CseOptimizerOptions options;
     options.enable_heuristics = false;
-    options.strategy = EnumerationStrategy::kExhaustive;
     options.max_optimizations = 1 << 12;  // never binds at <= 10 candidates
     CseQueryOptimizer optimizer(&ctx, options);
     CseMetrics metrics;
@@ -221,7 +222,6 @@ TEST_F(EnumerationTest, IndependentPairsFormSeparateComponents) {
   ASSERT_TRUE(stmts.ok());
   CseOptimizerOptions options;
   options.enable_heuristics = false;  // H1 would drop the C⨝N pair
-  options.strategy = EnumerationStrategy::kExhaustive;
   CseQueryOptimizer optimizer(&ctx, options);
   CseMetrics metrics;
   optimizer.Optimize(*stmts, &metrics);

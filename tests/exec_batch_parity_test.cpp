@@ -7,7 +7,7 @@
 //     storage in place instead of pulling gathered batches),
 //   - the single-int-key hash join fast path (exact int64 ChainTable keys)
 //     vs. the general hash-keyed path, including non-integral double and
-//     null join keys, with prefetch (AMAC probes) on and off,
+//     null join keys,
 //   - every hand-built hash-join plan against the same plan with its hash
 //     joins swapped for merge joins and then nested-loop joins,
 //   - the nested-loop, merge and index nested-loop batch paths: null keys,
@@ -169,9 +169,8 @@ PhysicalNodePtr Scan(const Table* table, const std::vector<ColId>& cols) {
   return scan;
 }
 
-std::vector<std::string> RunCanon(const PhysicalNode& node, bool prefetch) {
+std::vector<std::string> RunCanon(const PhysicalNode& node) {
   ExecContext ctx;
-  ctx.prefetch = prefetch;
   return Canon(RunToVector(node, &ctx));
 }
 
@@ -200,20 +199,16 @@ PhysicalNodePtr SwapHashJoins(const PhysicalNode& node, PhysOpKind kind,
   return out;
 }
 
-// Runs `node` with prefetch on and off — the AMAC-interleaved probe and the
-// straight-line reference loops — and checks both against the same plan
-// with its hash joins swapped for merge joins and for nested-loop joins.
-// Returns the (sorted, rendered) rows.
+// Runs `node` and checks it against the same plan with its hash joins
+// swapped for merge joins and for nested-loop joins. Returns the (sorted,
+// rendered) rows.
 std::vector<std::string> RunAgainstReferences(const PhysicalNode& node,
                                               const QueryContext& ctx) {
-  std::vector<std::string> got = RunCanon(node, /*prefetch=*/true);
-  EXPECT_EQ(RunCanon(node, /*prefetch=*/false), got) << "prefetch off";
+  std::vector<std::string> got = RunCanon(node);
   for (PhysOpKind kind : {PhysOpKind::kMergeJoin, PhysOpKind::kNlJoin}) {
     PhysicalNodePtr reference = SwapHashJoins(node, kind, ctx);
-    for (bool prefetch : {true, false}) {
-      EXPECT_EQ(RunCanon(*reference, prefetch), got)
-          << PhysOpKindName(kind) << " reference, prefetch=" << prefetch;
-    }
+    EXPECT_EQ(RunCanon(*reference), got) << PhysOpKindName(kind)
+                                         << " reference";
   }
   return got;
 }
@@ -339,7 +334,7 @@ TEST(ExecBatchParityTest, EmptyInputsParity) {
     join->join_keys = {{oc[0], ic[0]}};
     join->children = {Scan(empty_outer ? empty : full, oc)};
     join->output = Layout({oc[1], ic[1]});
-    EXPECT_EQ(RunCanon(*join, /*prefetch=*/true).size(), 0u)
+    EXPECT_EQ(RunCanon(*join).size(), 0u)
         << "empty_outer=" << empty_outer;
   }
 }
@@ -533,9 +528,7 @@ TEST(ExecBatchParityTest, IndexNlJoinNullOuterKeysAndResidual) {
   href->output = Layout({oc[0], oc[1], ic[1]});
   std::vector<std::string> want = RunAgainstReferences(*href, ctx);
   EXPECT_GT(want.size(), 0u);
-  for (bool prefetch : {true, false}) {
-    EXPECT_EQ(RunCanon(*join, prefetch), want) << "prefetch=" << prefetch;
-  }
+  EXPECT_EQ(RunCanon(*join), want);
 }
 
 // Outer batches in which most rows have no index match (keys 0..2499
@@ -572,7 +565,7 @@ TEST(ExecBatchParityTest, IndexNlJoinOuterBatchWithMatchlessRows) {
   href->output = Layout({oc[1], ic[1]});
   std::vector<std::string> want = RunAgainstReferences(*href, ctx);
   EXPECT_EQ(want.size(), 2u * ((2500 + 6) / 7));
-  EXPECT_EQ(RunCanon(*join, /*prefetch=*/true), want);
+  EXPECT_EQ(RunCanon(*join), want);
 }
 
 // Residual predicates over *fused* scans: both join children carry their own
@@ -617,7 +610,7 @@ TEST(ExecBatchParityTest, FusedScanFiltersWithResidualAndNulls) {
 
 // Null group keys compare equal for aggregation, and integral doubles group
 // with themselves only (Value::Hash must agree with Compare for -0.0/0.0 and
-// 2.0), with prefetch on and off.
+// 2.0).
 TEST(ExecBatchParityTest, NullAndDoubleGroupKeysParity) {
   Catalog catalog;
   QueryContext ctx(&catalog);
@@ -637,8 +630,7 @@ TEST(ExecBatchParityTest, NullAndDoubleGroupKeysParity) {
   agg->aggs = {{AggFn::kCount, nullptr, cnt}};
   agg->children = {Scan(t, cols)};
   agg->output = Layout({cols[0], cnt});
-  std::vector<std::string> rows = RunCanon(*agg, /*prefetch=*/true);
-  EXPECT_EQ(RunCanon(*agg, /*prefetch=*/false), rows);
+  std::vector<std::string> rows = RunCanon(*agg);
   // 5 groups: {0.0 == -0.0}, {2.0}, {2.5}, {1e18}, {NULL}.
   EXPECT_EQ(rows.size(), 5u);
   for (const std::string& r : rows) {
@@ -652,7 +644,7 @@ TEST(ExecBatchParityTest, NullAndDoubleGroupKeysParity) {
 // Aggregation edge cases against an AggAccumulator reference. Every shape
 // runs fused (HashAgg straight over the scan reads the columns in place)
 // and non-fused (a pass-through Filter in between feeds Values, like join
-// output), each with prefetch on and off. Values render with their type and doubles exactly (%a), so sums
+// output). Values render with their type and doubles exactly (%a), so sums
 // must match bit for bit and min/max must keep their type.
 
 std::string Exact(const Value& v) {
@@ -686,20 +678,9 @@ std::vector<std::string> ExactRows(const std::vector<Row>& rows) {
   return out;
 }
 
-// Runs `node` with prefetch on and off; both must agree exactly.
 std::vector<std::string> RunExact(const PhysicalNode& node) {
-  std::vector<std::string> rows;
-  for (bool prefetch : {true, false}) {
-    ExecContext ctx;
-    ctx.prefetch = prefetch;
-    std::vector<std::string> got = ExactRows(RunToVector(node, &ctx));
-    if (prefetch) {
-      rows = std::move(got);
-    } else {
-      EXPECT_EQ(got, rows) << "prefetch off";
-    }
-  }
-  return rows;
+  ExecContext ctx;
+  return ExactRows(RunToVector(node, &ctx));
 }
 
 // id (never null), then nullable keys and arguments of every physical type:
@@ -916,18 +897,13 @@ TEST(ExecBatchParityTest, ScalarAggOverFullyRejectingSpoolFilter) {
   };
   for (bool grouped : {false, true}) {
     ExecutablePlan plan = spool_agg(grouped);
-    for (bool prefetch : {true, false}) {
-      ExecOptions opts;
-      opts.prefetch = prefetch;
-      ExecutionMetrics metrics;
-      std::vector<StatementResult> results = ExecutePlan(plan, opts, &metrics);
-      ASSERT_EQ(results.size(), 1u);
-      EXPECT_EQ(metrics.spool_rows_read, t->row_count());
-      std::vector<std::string> want;
-      if (!grouped) want = {"i:0|i:0|NULL|NULL|NULL|NULL|"};
-      EXPECT_EQ(ExactRows(results[0].rows), want)
-          << "grouped=" << grouped << " prefetch=" << prefetch;
-    }
+    ExecutionMetrics metrics;
+    std::vector<StatementResult> results = ExecutePlan(plan, &metrics);
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(metrics.spool_rows_read, t->row_count());
+    std::vector<std::string> want;
+    if (!grouped) want = {"i:0|i:0|NULL|NULL|NULL|NULL|"};
+    EXPECT_EQ(ExactRows(results[0].rows), want) << "grouped=" << grouped;
   }
 }
 

@@ -3,9 +3,6 @@
 //   - runs seeded random query batches (>= 500 statements by default)
 //     (naive reference vs. CSE plan) and cross-checks results and the §5.2
 //     cost/spool plan invariants,
-//   - sweeps the enumeration strategies (exhaustive/greedy/approximate)
-//     over the corpus and random batches, cross-checking every strategy's
-//     plan against the naive reference,
 //   - pins generator determinism and shrinker well-formedness, and the
 //     exactly-once C_E + C_W charge at the candidate's LCA.
 //
@@ -110,47 +107,6 @@ TEST_F(FuzzDifferentialTest, RandomBatches) {
   }
 }
 
-// Strategy sweep: every batch is planned once per enumeration strategy and
-// all plans are cross-checked against the naive reference, plus the §5.2
-// plan invariants per strategy. Only the chosen
-// CSE set may differ between strategies — results never.
-TEST_F(FuzzDifferentialTest, StrategySweepCorpusReplay) {
-  const std::vector<CorpusEntry> corpus = Corpus();
-  ASSERT_FALSE(corpus.empty());
-
-  testing::DiffOptions options;
-  options.strategies = testing::AllEnumerationStrategies();
-  testing::DifferentialTester tester(catalog_, options);
-  for (const CorpusEntry& entry : corpus) {
-    auto d = tester.Check(entry.sql);
-    EXPECT_FALSE(d.has_value()) << entry.path << ":\n" << d->ToString();
-  }
-}
-
-TEST_F(FuzzDifferentialTest, StrategySweepRandomBatches) {
-  int batches = 250;
-  if (const char* env = std::getenv("SUBSHARE_FUZZ_BATCHES")) {
-    batches = std::atoi(env);
-  }
-  // Each batch runs 2 + 2·(#strategies) configurations; halve the count to
-  // keep the suite's wall time in line with the single-strategy leg.
-  batches = std::max(1, batches / 2);
-  testing::DiffOptions options;
-  options.strategies = testing::AllEnumerationStrategies();
-  testing::DifferentialTester tester(catalog_, options);
-  for (int i = 0; i < batches; ++i) {
-    uint64_t seed = 3000000 + static_cast<uint64_t>(i);
-    testing::QueryGenerator gen(catalog_, seed);
-    testing::BatchSpec batch = gen.NextBatch();
-    batch.seed = seed;
-    auto d = tester.CheckBatch(batch);
-    ASSERT_FALSE(d.has_value()) << "seed " << seed << ":\n" << d->ToString();
-  }
-  if (batches >= 125) {
-    EXPECT_GE(tester.statements_checked(), 250);
-  }
-}
-
 // Corpus replay through the cache-mode checker: each checked-in batch is
 // run cold, warm (must hit the plan cache), and again after a random
 // insert — pinning the repeated-prefix and repeat-after-insert scenarios.
@@ -195,6 +151,41 @@ TEST_F(FuzzDifferentialTest, CacheModeRandomBatches) {
     EXPECT_GE(tester.recycled_runs_seen(), 1);
   }
   EXPECT_EQ(tester.plan_hits_seen(), tester.batches_checked());
+}
+
+// The one result comparator: order-insensitive, near-equal doubles pair up
+// even when they would sort apart exactly, and the match test is relative
+// 1e-6 on doubles and exact on everything else.
+TEST(SameRowMultisetTest, PairsNearEqualDoublesAndMatchesStrictly) {
+  auto row = [](double d, std::string s) {
+    return Row{Value::Double(d), Value::String(std::move(s))};
+  };
+  std::string why;
+  // Exact order would pair (1.0, b) with (1.0, a): the rounded key does not.
+  EXPECT_TRUE(testing::SameRowMultiset({row(1.0 + 1e-12, "b"), row(1.0, "a")},
+                                       {row(1.0, "b"), row(1.0 + 1e-12, "a")},
+                                       &why))
+      << why;
+  // Two rows a rounding step apart keep their exact order within a key.
+  EXPECT_TRUE(testing::SameRowMultiset({row(2.0001, "x"), row(2.0004, "x")},
+                                       {row(2.0004, "x"), row(2.0001, "x")},
+                                       &why))
+      << why;
+  // Equal at three decimals is not enough: 1.0001 vs 1.0004.
+  EXPECT_FALSE(
+      testing::SameRowMultiset({row(1.0001, "a")}, {row(1.0004, "a")}, &why));
+  EXPECT_FALSE(testing::SameRowMultiset({row(1.0, "a")}, {row(1.0, "b")},
+                                        &why));
+  EXPECT_FALSE(testing::SameRowMultiset({row(1.0, "a")}, {}, &why));
+  // Integers match exactly, however large.
+  EXPECT_FALSE(testing::SameRowMultiset({{Value::Int64(1000000000)}},
+                                        {{Value::Int64(1000000001)}}, &why));
+  EXPECT_FALSE(testing::SameRowMultiset({{Value::Null(DataType::kInt64)}},
+                                        {{Value::Int64(0)}}, &why));
+  EXPECT_TRUE(testing::SameRowMultiset(
+      {{Value::Null(DataType::kInt64)}, {Value::Int64(3)}},
+      {{Value::Int64(3)}, {Value::Null(DataType::kInt64)}}, &why))
+      << why;
 }
 
 TEST_F(FuzzDifferentialTest, GeneratorIsDeterministic) {
@@ -250,27 +241,23 @@ TEST_F(FuzzDifferentialTest, OnlyNaivePlansUseMergeJoin) {
   ASSERT_FALSE(corpus.empty());
   int naive_merge = 0;
   for (const CorpusEntry& entry : corpus) {
-    for (EnumerationStrategy strategy : testing::AllEnumerationStrategies()) {
-      QueryContext ctx(catalog_);
-      auto stmts = sql::BindSql(entry.sql, &ctx);
-      ASSERT_TRUE(stmts.ok()) << entry.path;
-      CseOptimizerOptions options;
-      options.strategy = strategy;
-      CseQueryOptimizer opt(&ctx, options);
-      ExecutablePlan plan = opt.Optimize(*stmts);
-      int hash = 0, merge = 0;
-      CountJoins(*plan.root, &hash, &merge);
-      for (const auto& cse : plan.cse_plans) {
-        CountJoins(*cse.plan, &hash, &merge);
-      }
-      EXPECT_EQ(merge, 0) << entry.path << " under "
-                          << EnumerationStrategyName(strategy);
-    }
     QueryContext ctx(catalog_);
     auto stmts = sql::BindSql(entry.sql, &ctx);
     ASSERT_TRUE(stmts.ok()) << entry.path;
-    int hash = 0;
-    CountJoins(*NaivePlanBatch(*stmts, &ctx).root, &hash, &naive_merge);
+    CseQueryOptimizer opt(&ctx);
+    ExecutablePlan plan = opt.Optimize(*stmts);
+    int hash = 0, merge = 0;
+    CountJoins(*plan.root, &hash, &merge);
+    for (const auto& cse : plan.cse_plans) {
+      CountJoins(*cse.plan, &hash, &merge);
+    }
+    EXPECT_EQ(merge, 0) << entry.path;
+    QueryContext naive_ctx(catalog_);
+    auto naive_stmts = sql::BindSql(entry.sql, &naive_ctx);
+    ASSERT_TRUE(naive_stmts.ok()) << entry.path;
+    hash = 0;
+    CountJoins(*NaivePlanBatch(*naive_stmts, &naive_ctx).root, &hash,
+               &naive_merge);
   }
   EXPECT_GT(naive_merge, 0) << "the corpus planned no equi-join";
 }

@@ -86,6 +86,26 @@ TEST_F(ServerTest, OutOfRangeLiteralLeavesSessionUsable) {
   EXPECT_FALSE(ok->statements[0].rows.empty());
 }
 
+// Arithmetic or SUM/AVG over a string column is a bind error for the
+// session that sent it (it used to abort the process inside the
+// evaluator); the same session then runs a valid batch.
+TEST_F(ServerTest, StringArithmeticLeavesSessionUsable) {
+  server::Server server(db_);
+  auto session = server.Connect();
+  for (const char* bad :
+       {"select sum(n_name) from nation", "select avg(n_name) from nation",
+        "select n_name + 1 from nation", "select -n_name from nation",
+        "select n_name from nation group by n_name having sum(n_name) > 0"}) {
+    auto result = session->Execute(bad, CachedOptions());
+    ASSERT_FALSE(result.ok()) << bad;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  auto ok = session->Execute(kSharedBatch, CachedOptions());
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->statements.size(), 2u);
+  EXPECT_FALSE(ok->statements[0].rows.empty());
+}
+
 TEST_F(ServerTest, CrossSessionPlanAndSpoolSharing) {
   server::Server server(db_);
   auto a = server.Connect("a");

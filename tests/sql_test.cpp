@@ -194,6 +194,37 @@ TEST_F(SqlBindTest, BindErrors) {
           .ok());
 }
 
+// Arithmetic, unary minus and SUM/AVG reject string operands at bind time
+// with the comparison's kind of error; MIN/MAX/COUNT over strings and
+// arithmetic over numbers and dates still bind and run.
+TEST_F(SqlBindTest, StringArithmeticIsATypeError) {
+  QueryContext ctx(catalog_);
+  for (const char* bad :
+       {"select sum(n_name) from nation", "select avg(n_name) from nation",
+        "select n_name + 1 from nation", "select 1 * n_name from nation",
+        "select -n_name from nation", "select -'abc' from nation",
+        "select n_nationkey from nation where n_name - 1 > 0",
+        "select n_name from nation group by n_name having sum(n_name) > 0",
+        "select n_regionkey, max(n_name) + 1 from nation "
+        "group by n_regionkey"}) {
+    auto bound = sql::BindSql(bad, &ctx);
+    ASSERT_FALSE(bound.ok()) << bad;
+    EXPECT_EQ(bound.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(bound.status().message().find("type mismatch"),
+              std::string::npos)
+        << bad << ": " << bound.status().ToString();
+  }
+  std::vector<Row> rows =
+      Run("select min(n_name) as lo, max(n_name) as hi, count(n_name) as c "
+          "from nation");
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][0].AsString(), "ALGERIA");
+  EXPECT_EQ(rows[0][2].AsInt64(), 25);
+  rows = Run("select -n_nationkey + 1 as x from nation where n_nationkey = 3");
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][0].AsInt64(), -2);
+}
+
 // Exponent literals are doubles (never the integer 1 aliased "e2"), and an
 // out-of-range literal fails to bind.
 TEST_F(SqlBindTest, ExponentLiterals) {

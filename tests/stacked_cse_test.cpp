@@ -139,15 +139,12 @@ TEST_F(StackedCseTest, StackedPlansExecuteInDependencyOrder) {
 }
 
 // A candidate relevant inside another's evaluation tree interacts with it
-// (§5.5 stacking), so the exhaustive strategy searches both in one
-// interaction component.
+// (§5.5 stacking), so Step 3 searches both in one interaction component.
 TEST_F(StackedCseTest, StackedPairsShareAComponent) {
   QueryContext ctx(catalog_);
   auto stmts = sql::BindSql(StackedBatch(), &ctx);
   ASSERT_TRUE(stmts.ok());
-  CseOptimizerOptions options;
-  options.strategy = EnumerationStrategy::kExhaustive;
-  CseQueryOptimizer optimizer(&ctx, options);
+  CseQueryOptimizer optimizer(&ctx);
   CseMetrics metrics;
   optimizer.Optimize(*stmts, &metrics);
   Optimizer& opt = optimizer.optimizer();
