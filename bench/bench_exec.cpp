@@ -21,7 +21,7 @@
 #include <string>
 
 #include "bench_common.h"
-#include "physical/row_batch.h"
+#include "physical/column_batch.h"
 #include "storage/table.h"
 #include "util/string_util.h"
 
@@ -32,7 +32,7 @@ struct PipelineResult {
   std::string name;
   double batch_ms = 0;  // best-of-N execution wall time
   // Exclusive HashAgg time: its inclusive Open+Next time minus its
-  // children's (a fused scan's filtering counts as HashAgg's).
+  // children's.
   double hashagg_self_ms = 0;
   int64_t rows_scanned = 0;  // base-table + work-table rows read per run
   int64_t rows_out = 0;
@@ -210,7 +210,7 @@ int Main() {
   double sf = ScaleFactor();
   std::printf("== bench_exec: batched execution "
               "(SF=%.3f, batch=%d rows) ==\n",
-              sf, RowBatch::kDefaultCapacity);
+              sf, ColumnBatch::kDefaultCapacity);
   Database db;
   CHECK(db.LoadTpch(sf).ok());
 
@@ -251,7 +251,7 @@ int Main() {
       "{\"bench\":\"exec\",\"schema_version\":4,\"timestamp\":%lld,"
       "\"scale_factor\":%g,\"batch_capacity\":%d,\"pipelines\":[",
       static_cast<long long>(std::time(nullptr)), sf,
-      RowBatch::kDefaultCapacity);
+      ColumnBatch::kDefaultCapacity);
   for (size_t i = 0; i < pipelines.size(); ++i) {
     const PipelineResult& p = pipelines[i];
     json += StrFormat(

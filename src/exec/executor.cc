@@ -54,7 +54,8 @@ std::vector<StatementResult> ExecutePlan(const ExecutablePlan& plan,
   ctx.work_tables = &work_tables;
 
   // Materialize each chosen CSE once (paper: the spool operator writes the
-  // result into an internal work table), a whole RowBatch at a time.
+  // result into an internal work table), a whole batch of typed columns at
+  // a time.
   //
   // With a result cache attached, a keyed spool whose cached artifact is
   // still valid is installed straight from the cache (only the C_R reads
@@ -84,10 +85,10 @@ std::vector<StatementResult> ExecutePlan(const ExecutablePlan& plan,
     }
     std::unique_ptr<Operator> op = BuildOperator(*cse.plan, &ctx);
     op->Open();
-    RowBatch batch;
+    ColumnBatch batch;
     while (op->NextBatch(&batch)) {
       ctx.rows_spooled += batch.size();
-      wt->AppendBatch(batch.data(), batch.size());
+      wt->AppendBatch(batch.columns(), batch.sel(), batch.size());
     }
     spool_bytes += wt->columns().ByteSize();
     if (options.result_cache != nullptr && options.admit_results &&
@@ -125,9 +126,7 @@ std::vector<StatementResult> ExecutePlan(const ExecutablePlan& plan,
     metrics->operators.clear();
     metrics->operators.reserve(ctx.op_stats().size());
     for (const auto& s : ctx.op_stats()) {
-      std::string op = s->label;
-      if (s->fused) op += " (fused)";
-      metrics->operators.push_back({s->phase, std::move(op), s->depth,
+      metrics->operators.push_back({s->phase, s->label, s->depth,
                                     s->rows_in, s->rows_out, s->batches,
                                     s->open_ns, s->next_ns});
     }

@@ -1,6 +1,6 @@
 // Batch execution: materializes chosen CSEs into work tables (in dependency
 // order, so stacked CSEs can read earlier spools), then runs each statement
-// plan, pulling RowBatch units (physical/operators.h).
+// plan, pulling ColumnBatch units (physical/operators.h).
 #ifndef SUBSHARE_EXEC_EXECUTOR_H_
 #define SUBSHARE_EXEC_EXECUTOR_H_
 

@@ -78,13 +78,50 @@ PhysicalNodePtr MakeJoin(std::vector<ExprPtr>* conjuncts,
 
 PhysicalNodePtr Plan(const LogicalTree& tree, QueryContext* ctx);
 
+// True if some conjunct reads both `joined` and `next` and nothing else:
+// joining `next` then applies a predicate instead of a cross product.
+bool Connects(const std::vector<ExprPtr>& conjuncts, const Layout& joined,
+              const Layout& next) {
+  for (const ExprPtr& c : conjuncts) {
+    std::set<ColId> cols;
+    CollectColumns(c, &cols);
+    bool in_joined = false, in_next = false, covered = true;
+    for (ColId col : cols) {
+      const bool j = joined.IndexOf(col) >= 0;
+      const bool n = next.IndexOf(col) >= 0;
+      in_joined |= j;
+      in_next |= n;
+      covered &= j || n;
+    }
+    if (covered && in_joined && in_next) return true;
+  }
+  return false;
+}
+
+// Left-deep join of the FROM relations. The next relation joined is the
+// first (in FROM order) that a conjunct connects to those already joined;
+// FROM order decides when none does. Result order is not observable: every
+// bound statement has a Project root.
 PhysicalNodePtr PlanJoinSet(const LogicalTree& tree, QueryContext* ctx) {
   CHECK(!tree.children.empty());
   std::vector<ExprPtr> conjuncts = tree.op.conjuncts;
-  PhysicalNodePtr current = Plan(*tree.children[0], ctx);
-  for (size_t i = 1; i < tree.children.size(); ++i) {
-    current = MakeJoin(&conjuncts, std::move(current),
-                       Plan(*tree.children[i], ctx));
+  std::vector<PhysicalNodePtr> pending;
+  for (const auto& child : tree.children) {
+    pending.push_back(Plan(*child, ctx));
+  }
+  PhysicalNodePtr current = std::move(pending.front());
+  pending.erase(pending.begin());
+  while (!pending.empty()) {
+    size_t next = 0;
+    for (size_t i = 0; i < pending.size(); ++i) {
+      if (Connects(conjuncts, current->output, pending[i]->output)) {
+        next = i;
+        break;
+      }
+    }
+    PhysicalNodePtr right = std::move(pending[next]);
+    pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(next));
+    current = MakeJoin(&conjuncts, std::move(current), std::move(right));
   }
   if (!conjuncts.empty()) {
     // Conjuncts that needed all relations (e.g. referencing three tables).
@@ -119,8 +156,18 @@ PhysicalNodePtr Plan(const LogicalTree& tree, QueryContext* ctx) {
       return join;
     }
     case LogicalOpKind::kGroupBy: {
+      // Hash-free: a stable sort on the group columns keeps each group's
+      // rows in arrival order (so double sums add up in the same order),
+      // then a streaming group-by.
       PhysicalNodePtr child = Plan(*tree.children[0], ctx);
-      auto agg = MakePhysical(PhysOpKind::kHashAgg);
+      if (!tree.op.group_cols.empty()) {
+        auto sort = MakePhysical(PhysOpKind::kSort);
+        for (ColId c : tree.op.group_cols) sort->sort_keys.push_back({c, false});
+        sort->output = child->output;
+        sort->children = {std::move(child)};
+        child = std::move(sort);
+      }
+      auto agg = MakePhysical(PhysOpKind::kStreamAgg);
       agg->group_cols = tree.op.group_cols;
       agg->aggs = tree.op.aggs;
       std::vector<ColId> out = tree.op.group_cols;

@@ -1,8 +1,10 @@
 // Reference planner: translates a LogicalTree directly into a physical plan
-// with no cost-based choices (left-deep joins in syntactic order: sort-merge
-// on equi-join keys, nested loops otherwise; no column pruning, no index
-// selection, no CSE sharing). Its plans use no hash join, so they share no
-// join code with the optimizer's plans they judge.
+// with no cost-based choices (left-deep joins, each next relation the first
+// in FROM order that a predicate connects to those joined: sort-merge on
+// equi-join keys, nested loops otherwise; group-by as a stable sort plus a
+// streaming aggregate; no column pruning, no index selection, no CSE
+// sharing). Its plans use no hash table, so they share no join or grouping
+// code with the optimizer's plans they judge.
 //
 // Used (a) as the correctness oracle in tests and the differential fuzzer —
 // optimizer output must produce identical result sets — and (b) to execute

@@ -34,147 +34,4 @@ ExprPtr BindExpr(const ExprPtr& e, const Layout& layout) {
   return copy;
 }
 
-Value EvalExpr(const ExprPtr& e, const Row& row) {
-  DCHECK(e != nullptr);
-  switch (e->kind) {
-    case ExprKind::kBoundColumn:
-      DCHECK(e->bound_index >= 0 &&
-             e->bound_index < static_cast<int>(row.size()));
-      return row[e->bound_index];
-    case ExprKind::kColumn:
-      CHECK(false) << "unbound column in EvalExpr";
-      return Value();
-    case ExprKind::kLiteral:
-      return e->literal;
-    case ExprKind::kComparison: {
-      Value l = EvalExpr(e->children[0], row);
-      Value r = EvalExpr(e->children[1], row);
-      if (l.is_null() || r.is_null()) return Value::Bool(false);
-      int c = l.Compare(r);
-      switch (e->cmp) {
-        case CmpOp::kEq: return Value::Bool(c == 0);
-        case CmpOp::kNe: return Value::Bool(c != 0);
-        case CmpOp::kLt: return Value::Bool(c < 0);
-        case CmpOp::kLe: return Value::Bool(c <= 0);
-        case CmpOp::kGt: return Value::Bool(c > 0);
-        case CmpOp::kGe: return Value::Bool(c >= 0);
-      }
-      return Value::Bool(false);
-    }
-    case ExprKind::kAnd:
-      for (const ExprPtr& c : e->children) {
-        if (!EvalExpr(c, row).AsBool()) return Value::Bool(false);
-      }
-      return Value::Bool(true);
-    case ExprKind::kOr:
-      for (const ExprPtr& c : e->children) {
-        if (EvalExpr(c, row).AsBool()) return Value::Bool(true);
-      }
-      return Value::Bool(false);
-    case ExprKind::kNot:
-      return Value::Bool(!EvalExpr(e->children[0], row).AsBool());
-    case ExprKind::kArith: {
-      Value l = EvalExpr(e->children[0], row);
-      Value r = EvalExpr(e->children[1], row);
-      if (l.is_null() || r.is_null()) return Value::Null(e->type);
-      if (e->type == DataType::kInt64) {
-        int64_t a = l.AsInt64(), b = r.AsInt64();
-        switch (e->arith) {
-          case ArithOp::kAdd: return Value::Int64(a + b);
-          case ArithOp::kSub: return Value::Int64(a - b);
-          case ArithOp::kMul: return Value::Int64(a * b);
-          case ArithOp::kDiv:
-            if (b == 0) return Value::Null(DataType::kInt64);
-            return Value::Int64(a / b);
-        }
-      }
-      double a = l.AsDouble(), b = r.AsDouble();
-      switch (e->arith) {
-        case ArithOp::kAdd: return Value::Double(a + b);
-        case ArithOp::kSub: return Value::Double(a - b);
-        case ArithOp::kMul: return Value::Double(a * b);
-        case ArithOp::kDiv:
-          if (b == 0) return Value::Null(DataType::kDouble);
-          return Value::Double(a / b);
-      }
-      return Value::Null(e->type);
-    }
-  }
-  return Value();
-}
-
-bool EvalPredicate(const ExprPtr& e, const Row& row) {
-  if (e == nullptr) return true;
-  return EvalExpr(e, row).AsBool();
-}
-
-namespace {
-
-// True iff three-way comparison result `c` satisfies `op`.
-inline bool CmpHolds(CmpOp op, int c) {
-  switch (op) {
-    case CmpOp::kEq: return c == 0;
-    case CmpOp::kNe: return c != 0;
-    case CmpOp::kLt: return c < 0;
-    case CmpOp::kLe: return c <= 0;
-    case CmpOp::kGt: return c > 0;
-    case CmpOp::kGe: return c >= 0;
-  }
-  return false;
-}
-
-}  // namespace
-
-void EvalPredicateBatch(const ExprPtr& e, const Row* rows, int n,
-                        uint8_t* keep) {
-  if (e == nullptr) return;
-  switch (e->kind) {
-    case ExprKind::kAnd:
-      // Each conjunct ANDs into keep; later conjuncts skip dead rows.
-      for (const ExprPtr& c : e->children) {
-        EvalPredicateBatch(c, rows, n, keep);
-      }
-      return;
-    case ExprKind::kComparison: {
-      const Expr& lhs = *e->children[0];
-      const Expr& rhs = *e->children[1];
-      if (lhs.kind == ExprKind::kBoundColumn &&
-          rhs.kind == ExprKind::kLiteral) {
-        const int idx = lhs.bound_index;
-        const Value& lit = rhs.literal;
-        if (lit.is_null()) {  // comparison with NULL is always false
-          for (int i = 0; i < n; ++i) keep[i] = 0;
-          return;
-        }
-        for (int i = 0; i < n; ++i) {
-          if (!keep[i]) continue;
-          const Value& v = rows[i][idx];
-          keep[i] = !v.is_null() && CmpHolds(e->cmp, v.Compare(lit));
-        }
-        return;
-      }
-      if (lhs.kind == ExprKind::kBoundColumn &&
-          rhs.kind == ExprKind::kBoundColumn) {
-        const int li = lhs.bound_index;
-        const int ri = rhs.bound_index;
-        for (int i = 0; i < n; ++i) {
-          if (!keep[i]) continue;
-          const Value& l = rows[i][li];
-          const Value& r = rows[i][ri];
-          keep[i] = !l.is_null() && !r.is_null() &&
-                    CmpHolds(e->cmp, l.Compare(r));
-        }
-        return;
-      }
-      break;  // other comparison shapes: generic fallback
-    }
-    default:
-      break;
-  }
-  // Generic fallback: per-row evaluation of the whole subtree.
-  for (int i = 0; i < n; ++i) {
-    if (keep[i]) keep[i] = EvalPredicate(e, rows[i]);
-  }
-}
-
 }  // namespace subshare

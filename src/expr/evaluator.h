@@ -1,8 +1,9 @@
 // Expression binding and evaluation against row layouts.
 //
-// A Layout is the ordered list of ColIds an operator's output rows carry.
-// BindExpr rewrites kColumn references to kBoundColumn row indexes; EvalExpr
-// then evaluates a bound tree against a Row.
+// A Layout is the ordered list of ColIds an operator's output batches
+// carry. BindExpr rewrites kColumn references to kBoundColumn column
+// indexes; ExprProgram (physical/column_kernels.h) evaluates a bound tree
+// column-wise.
 #ifndef SUBSHARE_EXPR_EVALUATOR_H_
 #define SUBSHARE_EXPR_EVALUATOR_H_
 
@@ -36,23 +37,6 @@ class Layout {
 // Rewrites kColumn -> kBoundColumn using `layout`. CHECK-fails if a
 // referenced column is missing (plans must be column-complete).
 ExprPtr BindExpr(const ExprPtr& e, const Layout& layout);
-
-// Evaluates a bound expression. Comparison/logic honor SQL-ish null
-// semantics reduced to two-valued logic: any comparison with NULL is false;
-// NOT(false)=true.
-Value EvalExpr(const ExprPtr& e, const Row& row);
-
-// Convenience: true iff the bound predicate evaluates to true.
-bool EvalPredicate(const ExprPtr& e, const Row& row);
-
-// Vectorized predicate evaluation: ANDs the result of `e` over rows[0..n)
-// into keep[i] (callers initialize keep to 1). The expression tree is walked
-// once per batch instead of once per row; common shapes (conjunctions of
-// `column <cmp> literal` / `column <cmp> column`) run as tight loops over
-// the already-bound column indexes, skipping rows another conjunct has
-// already rejected. Results are identical to per-row EvalPredicate.
-void EvalPredicateBatch(const ExprPtr& e, const Row* rows, int n,
-                        uint8_t* keep);
 
 }  // namespace subshare
 

@@ -28,59 +28,53 @@ inline int Select(int32_t* sel, int count, Pred pass) {
   return out;
 }
 
-// Comparison dispatch: one tight loop per operator.
-template <typename T>
-inline int CmpSelect(CmpOp op, const T* v, T lit, int32_t* sel, int count) {
+// Comparison dispatch: one tight loop per operator over the operand
+// readers a(r) / b(r) (a column cell, a literal, a widened int).
+template <typename A, typename B>
+inline int CmpSelect(CmpOp op, A a, B b, int32_t* sel, int count) {
   switch (op) {
     case CmpOp::kEq:
-      return Select(sel, count, [=](int32_t r) { return v[r] == lit; });
+      return Select(sel, count, [=](int32_t r) { return a(r) == b(r); });
     case CmpOp::kNe:
-      return Select(sel, count, [=](int32_t r) { return v[r] != lit; });
+      return Select(sel, count, [=](int32_t r) { return a(r) != b(r); });
     case CmpOp::kLt:
-      return Select(sel, count, [=](int32_t r) { return v[r] < lit; });
+      return Select(sel, count, [=](int32_t r) { return a(r) < b(r); });
     case CmpOp::kLe:
-      return Select(sel, count, [=](int32_t r) { return v[r] <= lit; });
+      return Select(sel, count, [=](int32_t r) { return a(r) <= b(r); });
     case CmpOp::kGt:
-      return Select(sel, count, [=](int32_t r) { return v[r] > lit; });
+      return Select(sel, count, [=](int32_t r) { return a(r) > b(r); });
     case CmpOp::kGe:
-      return Select(sel, count, [=](int32_t r) { return v[r] >= lit; });
+      return Select(sel, count, [=](int32_t r) { return a(r) >= b(r); });
   }
   return count;
 }
 
-template <typename L, typename R>
-inline int ColColSelect(CmpOp op, const L* a, const R* b, int32_t* sel,
-                        int count) {
-  switch (op) {
-    case CmpOp::kEq:
-      return Select(sel, count, [=](int32_t r) { return a[r] == b[r]; });
-    case CmpOp::kNe:
-      return Select(sel, count, [=](int32_t r) { return a[r] != b[r]; });
-    case CmpOp::kLt:
-      return Select(sel, count, [=](int32_t r) { return a[r] < b[r]; });
-    case CmpOp::kLe:
-      return Select(sel, count, [=](int32_t r) { return a[r] <= b[r]; });
-    case CmpOp::kGt:
-      return Select(sel, count, [=](int32_t r) { return a[r] > b[r]; });
-    case CmpOp::kGe:
-      return Select(sel, count, [=](int32_t r) { return a[r] >= b[r]; });
-  }
-  return count;
+// Operand readers: cell r of a span, cell r widened to double, a constant.
+template <typename T>
+auto Cells(const T* v) {
+  return [v](int32_t r) { return v[r]; };
+}
+inline auto AsDouble(const int64_t* v) {
+  return [v](int32_t r) { return static_cast<double>(v[r]); };
+}
+template <typename T>
+auto Const(T lit) {
+  return [lit](int32_t) { return lit; };
 }
 
 }  // namespace
 
-bool CompiledPredicate::CompileComparison(const Expr& e,
-                                          const ColumnStore& store) {
+bool CompiledPredicate::CompileComparison(
+    const Expr& e, const std::vector<ColumnVector>& cols) {
   const Expr& lhs = *e.children[0];
   const Expr& rhs = *e.children[1];
 
   // column vs column
   if (lhs.kind == ExprKind::kBoundColumn &&
       rhs.kind == ExprKind::kBoundColumn) {
-    const Column& a = store.column(lhs.bound_index);
-    const Column& b = store.column(rhs.bound_index);
-    if (a.type() == DataType::kString || b.type() == DataType::kString) {
+    const ColumnVector& a = cols[lhs.bound_index];
+    const ColumnVector& b = cols[rhs.bound_index];
+    if (a.type == DataType::kString || b.type == DataType::kString) {
       return false;  // string-vs-string col compares stay in the residual
     }
     Step s;
@@ -88,7 +82,7 @@ bool CompiledPredicate::CompileComparison(const Expr& e,
     s.col2 = rhs.bound_index;
     s.op = e.cmp;
     // Value::Compare compares exactly iff neither side is a double.
-    s.kind = IsIntFamily(a.type()) && IsIntFamily(b.type())
+    s.kind = IsIntFamily(a.type) && IsIntFamily(b.type)
                  ? Step::kColColInt
                  : Step::kColColDouble;
     steps_.push_back(std::move(s));
@@ -103,14 +97,14 @@ bool CompiledPredicate::CompileComparison(const Expr& e,
     always_false_ = true;
     return true;
   }
-  const Column& col = store.column(lhs.bound_index);
+  const ColumnVector& col = cols[lhs.bound_index];
   Step s;
   s.col = lhs.bound_index;
   s.op = e.cmp;
 
-  if (col.type() == DataType::kString) {
+  if (col.type == DataType::kString) {
     if (lit.type() != DataType::kString) return false;
-    const StringDictionary& dict = col.dict();
+    const StringDictionary& dict = *col.dict;
     const std::string& target = lit.AsString();
     switch (e.cmp) {
       case CmpOp::kEq: {
@@ -158,7 +152,7 @@ bool CompiledPredicate::CompileComparison(const Expr& e,
   // Numeric column. Mirror Value::Compare: exact int64 iff neither side is
   // a double; otherwise compare as doubles.
   if (lit.type() == DataType::kString) return false;  // type-mismatched
-  if (col.type() == DataType::kDouble) {
+  if (col.type == DataType::kDouble) {
     s.kind = Step::kDoubleCmp;
     s.dval = lit.AsDouble();
   } else if (lit.type() == DataType::kDouble) {
@@ -173,7 +167,7 @@ bool CompiledPredicate::CompileComparison(const Expr& e,
 }
 
 bool CompiledPredicate::CompileInList(const Expr& or_expr,
-                                      const ColumnStore& store) {
+                                      const std::vector<ColumnVector>& cols) {
   // OR of equalities on one column (how IN desugars). Anything else is not
   // lowered here.
   int col = -1;
@@ -193,15 +187,15 @@ bool CompiledPredicate::CompileInList(const Expr& or_expr,
   }
   if (col < 0) return false;
 
-  const Column& column = store.column(col);
+  const ColumnVector& column = cols[col];
   Step s;
   s.col = col;
-  if (column.type() == DataType::kString) {
+  if (column.type == DataType::kString) {
     s.kind = Step::kStrIn;
     for (const Value* lit : lits) {
       if (lit->is_null()) continue;  // = NULL disjunct is always false
       if (lit->type() != DataType::kString) return false;
-      int32_t code = column.dict().Find(lit->AsString());
+      int32_t code = column.dict->Find(lit->AsString());
       if (code >= 0) s.code_set.push_back(code);
     }
     if (s.code_set.empty()) {
@@ -218,14 +212,14 @@ bool CompiledPredicate::CompileInList(const Expr& or_expr,
         // An integral double equals the matching int64; a fractional one
         // matches nothing (int-family columns hold integers).
         double d = lit->AsDouble();
-        if (column.type() == DataType::kDouble) return false;  // unreachable
+        if (column.type == DataType::kDouble) return false;  // unreachable
         if (d != std::floor(d) || std::abs(d) >= 9.0e18) continue;
         s.int_set.push_back(static_cast<int64_t>(d));
       } else {
         s.int_set.push_back(lit->AsInt64());
       }
     }
-    if (column.type() == DataType::kDouble) {
+    if (column.type == DataType::kDouble) {
       // Double-typed columns keep exact double IN semantics in the
       // residual; lowering would need a double set — rare, not worth it.
       return false;
@@ -242,97 +236,64 @@ bool CompiledPredicate::CompileInList(const Expr& or_expr,
   return true;
 }
 
-bool CompiledPredicate::CompileConjunct(const ExprPtr& conjunct,
-                                        const ColumnStore& store) {
+bool CompiledPredicate::CompileConjunct(
+    const ExprPtr& conjunct, const std::vector<ColumnVector>& cols) {
   if (conjunct->kind == ExprKind::kComparison) {
-    return CompileComparison(*conjunct, store);
+    return CompileComparison(*conjunct, cols);
   }
   if (conjunct->kind == ExprKind::kOr) {
-    return CompileInList(*conjunct, store);
+    return CompileInList(*conjunct, cols);
   }
   return false;
 }
 
-CompiledPredicate CompiledPredicate::Compile(const ExprPtr& bound,
-                                             const ColumnStore& store) {
+CompiledPredicate CompiledPredicate::Compile(
+    const ExprPtr& bound, const std::vector<ColumnVector>& cols) {
   CompiledPredicate p;
-  p.store_ = &store;
   if (bound == nullptr) return p;
   std::vector<ExprPtr> residual;
   for (const ExprPtr& conjunct : SplitConjuncts(bound)) {
-    if (!p.CompileConjunct(conjunct, store)) residual.push_back(conjunct);
+    if (!p.CompileConjunct(conjunct, cols)) residual.push_back(conjunct);
     if (p.always_false_) {
       p.steps_.clear();
       p.residual_ = nullptr;
       return p;
     }
   }
-  p.residual_ = CombineConjuncts(residual);
+  if (!residual.empty()) {
+    p.residual_ = std::make_shared<ExprProgram>(CombineConjuncts(residual));
+  }
   return p;
 }
 
-int CompiledPredicate::RunSteps(int32_t* sel, int count) const {
+int CompiledPredicate::RunSteps(const std::vector<ColumnVector>& cols,
+                                int32_t* sel, int count) const {
   for (const Step& s : steps_) {
     if (count == 0) break;
-    const Column& col = store_->column(s.col);
+    const ColumnVector& col = cols[s.col];
     // Null cells fail every comparison; compact them away first so the
     // typed loops can trust the placeholder-free data.
-    if (col.nulls().any()) {
-      const NullBitmap& nulls = col.nulls();
-      count = Select(sel, count, [&](int32_t r) { return !nulls.Test(r); });
+    if (col.nulls != nullptr) {
+      count = Select(sel, count, [&](int32_t r) { return !col.IsNull(r); });
     }
-    if (s.col2 >= 0 && store_->column(s.col2).nulls().any()) {
-      const NullBitmap& nulls = store_->column(s.col2).nulls();
-      count = Select(sel, count, [&](int32_t r) { return !nulls.Test(r); });
+    if (s.col2 >= 0 && cols[s.col2].nulls != nullptr) {
+      const ColumnVector& col2 = cols[s.col2];
+      count = Select(sel, count, [&](int32_t r) { return !col2.IsNull(r); });
     }
     switch (s.kind) {
       case Step::kFalse:
         return 0;
       case Step::kIntCmp:
-        count = CmpSelect<int64_t>(s.op, col.ints(), s.ival, sel, count);
+        count = CmpSelect(s.op, Cells(col.ints), Const(s.ival), sel, count);
         break;
-      case Step::kIntCmpDouble: {
-        const int64_t* v = col.ints();
-        const double lit = s.dval;
-        switch (s.op) {
-          case CmpOp::kEq:
-            count = Select(sel, count, [=](int32_t r) {
-              return static_cast<double>(v[r]) == lit;
-            });
-            break;
-          case CmpOp::kNe:
-            count = Select(sel, count, [=](int32_t r) {
-              return static_cast<double>(v[r]) != lit;
-            });
-            break;
-          case CmpOp::kLt:
-            count = Select(sel, count, [=](int32_t r) {
-              return static_cast<double>(v[r]) < lit;
-            });
-            break;
-          case CmpOp::kLe:
-            count = Select(sel, count, [=](int32_t r) {
-              return static_cast<double>(v[r]) <= lit;
-            });
-            break;
-          case CmpOp::kGt:
-            count = Select(sel, count, [=](int32_t r) {
-              return static_cast<double>(v[r]) > lit;
-            });
-            break;
-          case CmpOp::kGe:
-            count = Select(sel, count, [=](int32_t r) {
-              return static_cast<double>(v[r]) >= lit;
-            });
-            break;
-        }
+      case Step::kIntCmpDouble:
+        count = CmpSelect(s.op, AsDouble(col.ints), Const(s.dval), sel, count);
         break;
-      }
       case Step::kDoubleCmp:
-        count = CmpSelect<double>(s.op, col.doubles(), s.dval, sel, count);
+        count = CmpSelect(s.op, Cells(col.doubles), Const(s.dval), sel, count);
         break;
       case Step::kIntIn: {
-        const int64_t* v = col.ints();
+        const int64_t* v = col.ints;
         if (s.int_set.size() <= 4) {
           // Small sets (the common IN shape): unrolled membership test.
           int64_t k0 = s.int_set[0];
@@ -352,21 +313,21 @@ int CompiledPredicate::RunSteps(int32_t* sel, int count) const {
         break;
       }
       case Step::kStrEq: {
-        const int32_t* codes = col.codes();
+        const int32_t* codes = col.codes;
         const int32_t target = s.code;
         count =
             Select(sel, count, [=](int32_t r) { return codes[r] == target; });
         break;
       }
       case Step::kStrNe: {
-        const int32_t* codes = col.codes();
+        const int32_t* codes = col.codes;
         const int32_t target = s.code;
         count =
             Select(sel, count, [=](int32_t r) { return codes[r] != target; });
         break;
       }
       case Step::kStrRange: {
-        const int32_t* codes = col.codes();
+        const int32_t* codes = col.codes;
         const int32_t* ranks = s.ranks;
         const int32_t thr = s.rank_thr;
         const bool pass_if_less = s.pass_if_less;
@@ -382,7 +343,7 @@ int CompiledPredicate::RunSteps(int32_t* sel, int count) const {
         break;
       }
       case Step::kStrIn: {
-        const int32_t* codes = col.codes();
+        const int32_t* codes = col.codes;
         if (s.code_set.size() <= 4) {
           int32_t k0 = s.code_set[0];
           int32_t k1 = s.code_set.size() > 1 ? s.code_set[1] : k0;
@@ -400,89 +361,23 @@ int CompiledPredicate::RunSteps(int32_t* sel, int count) const {
         }
         break;
       }
-      case Step::kColColInt: {
-        const int64_t* a = col.ints();
-        const int64_t* b = store_->column(s.col2).ints();
-        count = ColColSelect(s.op, a, b, sel, count);
+      case Step::kColColInt:
+        count = CmpSelect(s.op, Cells(col.ints), Cells(cols[s.col2].ints), sel,
+                          count);
         break;
-      }
       case Step::kColColDouble: {
-        const Column& rhs = store_->column(s.col2);
         // At least one side is a double column; both read as doubles,
         // matching Value::Compare's AsDouble path.
-        if (col.type() == DataType::kDouble &&
-            rhs.type() == DataType::kDouble) {
-          count = ColColSelect(s.op, col.doubles(), rhs.doubles(), sel, count);
-        } else if (col.type() == DataType::kDouble) {
-          const double* a = col.doubles();
-          const int64_t* b = rhs.ints();
-          switch (s.op) {
-            case CmpOp::kEq:
-              count = Select(sel, count, [=](int32_t r) {
-                return a[r] == static_cast<double>(b[r]);
-              });
-              break;
-            case CmpOp::kNe:
-              count = Select(sel, count, [=](int32_t r) {
-                return a[r] != static_cast<double>(b[r]);
-              });
-              break;
-            case CmpOp::kLt:
-              count = Select(sel, count, [=](int32_t r) {
-                return a[r] < static_cast<double>(b[r]);
-              });
-              break;
-            case CmpOp::kLe:
-              count = Select(sel, count, [=](int32_t r) {
-                return a[r] <= static_cast<double>(b[r]);
-              });
-              break;
-            case CmpOp::kGt:
-              count = Select(sel, count, [=](int32_t r) {
-                return a[r] > static_cast<double>(b[r]);
-              });
-              break;
-            case CmpOp::kGe:
-              count = Select(sel, count, [=](int32_t r) {
-                return a[r] >= static_cast<double>(b[r]);
-              });
-              break;
-          }
+        const ColumnVector& rhs = cols[s.col2];
+        if (col.type != DataType::kDouble) {
+          count = CmpSelect(s.op, AsDouble(col.ints), Cells(rhs.doubles), sel,
+                            count);
+        } else if (rhs.type != DataType::kDouble) {
+          count = CmpSelect(s.op, Cells(col.doubles), AsDouble(rhs.ints), sel,
+                            count);
         } else {
-          const int64_t* a = col.ints();
-          const double* b = rhs.doubles();
-          switch (s.op) {
-            case CmpOp::kEq:
-              count = Select(sel, count, [=](int32_t r) {
-                return static_cast<double>(a[r]) == b[r];
-              });
-              break;
-            case CmpOp::kNe:
-              count = Select(sel, count, [=](int32_t r) {
-                return static_cast<double>(a[r]) != b[r];
-              });
-              break;
-            case CmpOp::kLt:
-              count = Select(sel, count, [=](int32_t r) {
-                return static_cast<double>(a[r]) < b[r];
-              });
-              break;
-            case CmpOp::kLe:
-              count = Select(sel, count, [=](int32_t r) {
-                return static_cast<double>(a[r]) <= b[r];
-              });
-              break;
-            case CmpOp::kGt:
-              count = Select(sel, count, [=](int32_t r) {
-                return static_cast<double>(a[r]) > b[r];
-              });
-              break;
-            case CmpOp::kGe:
-              count = Select(sel, count, [=](int32_t r) {
-                return static_cast<double>(a[r]) >= b[r];
-              });
-              break;
-          }
+          count = CmpSelect(s.op, Cells(col.doubles), Cells(rhs.doubles), sel,
+                            count);
         }
         break;
       }
@@ -491,41 +386,239 @@ int CompiledPredicate::RunSteps(int32_t* sel, int count) const {
   return count;
 }
 
-int CompiledPredicate::FilterDense(int64_t start, int n, int32_t* sel) const {
+int CompiledPredicate::Filter(const std::vector<ColumnVector>& cols,
+                              int32_t* sel, int count) {
   if (always_false_) return 0;
-  for (int i = 0; i < n; ++i) sel[i] = static_cast<int32_t>(start + i);
-  return RunSteps(sel, n);
-}
-
-int CompiledPredicate::FilterPositions(const int64_t* pos, int n,
-                                       int32_t* sel) const {
-  if (always_false_) return 0;
-  for (int i = 0; i < n; ++i) sel[i] = static_cast<int32_t>(pos[i]);
-  return RunSteps(sel, n);
-}
-
-int ApplyRowResidual(const ColumnStore& store, const ExprPtr& residual,
-                     int32_t* sel, int count, Row* scratch) {
-  if (residual == nullptr) return count;
+  count = RunSteps(cols, sel, count);
+  if (residual_ == nullptr || count == 0) return count;
+  const ColumnBuffer& keep = residual_->Eval(cols, sel, count);
+  const ColumnVector v = keep.view();
   int out = 0;
   for (int i = 0; i < count; ++i) {
-    int32_t r = sel[i];
-    store.GetRow(r, scratch);
-    if (EvalPredicate(residual, *scratch)) sel[out++] = r;
+    sel[out] = sel[i];
+    out += !v.IsNull(i) && v.ints[i] != 0 ? 1 : 0;
   }
   return out;
 }
 
-void GatherInto(const ColumnStore& store, const int32_t* sel, int count,
-                const std::vector<int>& map, RowBatch* out) {
-  const int width = static_cast<int>(map.size());
-  for (int i = 0; i < count; ++i) {
-    Row& dst = out->AppendSlot();
-    dst.resize(static_cast<size_t>(width));
-    const int32_t r = sel[i];
-    for (int j = 0; j < width; ++j) {
-      dst[static_cast<size_t>(j)] = store.column(map[j]).Get(r);
+int CompiledPredicate::FilterDense(const std::vector<ColumnVector>& cols,
+                                   int64_t start, int n, int32_t* sel) {
+  if (always_false_) return 0;
+  for (int i = 0; i < n; ++i) sel[i] = static_cast<int32_t>(start + i);
+  return Filter(cols, sel, n);
+}
+
+int CompiledPredicate::FilterPositions(const std::vector<ColumnVector>& cols,
+                                       const int64_t* pos, int n,
+                                       int32_t* sel) {
+  if (always_false_) return 0;
+  for (int i = 0; i < n; ++i) sel[i] = static_cast<int32_t>(pos[i]);
+  return Filter(cols, sel, n);
+}
+
+// ------------------------------------------------------------ ExprProgram ---
+
+namespace {
+
+// Two's-complement arithmetic: integer overflow wraps instead of being
+// undefined.
+int64_t WrapOp(ArithOp op, int64_t a, int64_t b) {
+  const uint64_t ua = static_cast<uint64_t>(a);
+  const uint64_t ub = static_cast<uint64_t>(b);
+  switch (op) {
+    case ArithOp::kAdd: return static_cast<int64_t>(ua + ub);
+    case ArithOp::kSub: return static_cast<int64_t>(ua - ub);
+    case ArithOp::kMul: return static_cast<int64_t>(ua * ub);
+    case ArithOp::kDiv:
+      return b == -1 ? static_cast<int64_t>(0 - ua) : a / b;  // b != 0
+  }
+  return 0;
+}
+
+double DoubleOp(ArithOp op, double a, double b) {
+  switch (op) {
+    case ArithOp::kAdd: return a + b;
+    case ArithOp::kSub: return a - b;
+    case ArithOp::kMul: return a * b;
+    case ArithOp::kDiv: return a / b;  // b != 0
+  }
+  return 0;
+}
+
+inline bool CmpHolds(CmpOp op, int c) {
+  switch (op) {
+    case CmpOp::kEq: return c == 0;
+    case CmpOp::kNe: return c != 0;
+    case CmpOp::kLt: return c < 0;
+    case CmpOp::kLe: return c <= 0;
+    case CmpOp::kGt: return c > 0;
+    case CmpOp::kGe: return c >= 0;
+  }
+  return false;
+}
+
+template <typename T>
+inline int Cmp3(T a, T b) {
+  return a < b ? -1 : (a > b ? 1 : 0);
+}
+
+// Cell i of a dense buffer read as a double (int-family cells convert).
+inline const double* AsDoubles(const ColumnVector& v, int n,
+                               std::vector<double>* scratch) {
+  if (v.type == DataType::kDouble) return v.doubles;
+  scratch->resize(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) (*scratch)[i] = static_cast<double>(v.ints[i]);
+  return scratch->data();
+}
+
+inline bool Truthy(const ColumnVector& v, int i) {
+  return !v.IsNull(i) && v.ints[i] != 0;
+}
+
+}  // namespace
+
+ExprProgram::ExprProgram(const ExprPtr& bound) : bound_(bound) {
+  if (bound_ != nullptr) Build(*bound_, &root_);
+}
+
+void ExprProgram::Build(const Expr& e, Node* node) {
+  node->expr = &e;
+  node->children.resize(e.children.size());
+  for (size_t i = 0; i < e.children.size(); ++i) {
+    Build(*e.children[i], &node->children[i]);
+  }
+}
+
+const ColumnBuffer& ExprProgram::Eval(const std::vector<ColumnVector>& cols,
+                                      const int32_t* rows, int n) {
+  DCHECK(bound_ != nullptr);
+  EvalNode(&root_, cols, rows, n);
+  return root_.out;
+}
+
+void ExprProgram::EvalNode(Node* node, const std::vector<ColumnVector>& cols,
+                           const int32_t* rows, int n) {
+  const Expr& e = *node->expr;
+  ColumnBuffer& out = node->out;
+  switch (e.kind) {
+    case ExprKind::kBoundColumn:
+      out.clear();
+      out.Gather(cols[e.bound_index], rows, n);
+      return;
+    case ExprKind::kColumn:
+      CHECK(false) << "unbound column in ExprProgram";
+      return;
+    case ExprKind::kLiteral: {
+      const Value& v = e.literal;
+      if (v.type() == DataType::kDouble) {
+        std::fill_n(out.MutableDoubles(n), n, v.is_null() ? 0 : v.AsDouble());
+      } else if (v.type() == DataType::kString) {
+        if (node->literal.empty() && !v.is_null()) node->literal.Intern(v.AsString());
+        out.SetDict(node->literal);
+        std::fill_n(out.MutableCodes(n), n, v.is_null() ? -1 : 0);
+      } else {
+        std::fill_n(out.MutableInts(v.type(), n), n, v.is_null() ? 0 : v.AsInt64());
+      }
+      if (v.is_null()) {
+        for (int i = 0; i < n; ++i) out.SetNull(i);
+      }
+      return;
     }
+    default:
+      break;
+  }
+  for (Node& c : node->children) EvalNode(&c, cols, rows, n);
+  switch (e.kind) {
+    case ExprKind::kArith: {
+      const ColumnVector l = node->children[0].out.view();
+      const ColumnVector r = node->children[1].out.view();
+      if (e.type == DataType::kInt64) {
+        int64_t* v = out.MutableInts(DataType::kInt64, n);
+        for (int i = 0; i < n; ++i) {
+          if (l.IsNull(i) || r.IsNull(i) ||
+              (e.arith == ArithOp::kDiv && r.ints[i] == 0)) {
+            v[i] = 0;
+            out.SetNull(i);
+          } else {
+            v[i] = WrapOp(e.arith, l.ints[i], r.ints[i]);
+          }
+        }
+        return;
+      }
+      const double* a = AsDoubles(l, n, &node->lhs);
+      const double* b = AsDoubles(r, n, &node->rhs);
+      double* v = out.MutableDoubles(n);
+      for (int i = 0; i < n; ++i) {
+        if (l.IsNull(i) || r.IsNull(i) ||
+            (e.arith == ArithOp::kDiv && b[i] == 0)) {
+          v[i] = 0;
+          out.SetNull(i);
+        } else {
+          v[i] = DoubleOp(e.arith, a[i], b[i]);
+        }
+      }
+      return;
+    }
+    case ExprKind::kComparison: {
+      const ColumnVector l = node->children[0].out.view();
+      const ColumnVector r = node->children[1].out.view();
+      int64_t* v = out.MutableInts(DataType::kBool, n);
+      const CmpOp op = e.cmp;
+      if (l.type == DataType::kString || r.type == DataType::kString) {
+        DCHECK(l.type == DataType::kString && r.type == DataType::kString);
+        const bool same_dict = l.dict == r.dict;
+        for (int i = 0; i < n; ++i) {
+          if (l.IsNull(i) || r.IsNull(i)) {
+            v[i] = 0;
+            continue;
+          }
+          const int32_t a = l.codes[i], b = r.codes[i];
+          const int c = same_dict && a == b
+                            ? 0
+                            : l.dict->value(a).compare(r.dict->value(b));
+          v[i] = CmpHolds(op, c);
+        }
+        return;
+      }
+      if (l.type != DataType::kDouble && r.type != DataType::kDouble) {
+        for (int i = 0; i < n; ++i) {
+          v[i] = !l.IsNull(i) && !r.IsNull(i) &&
+                 CmpHolds(op, Cmp3(l.ints[i], r.ints[i]));
+        }
+        return;
+      }
+      const double* a = AsDoubles(l, n, &node->lhs);
+      const double* b = AsDoubles(r, n, &node->rhs);
+      for (int i = 0; i < n; ++i) {
+        v[i] = !l.IsNull(i) && !r.IsNull(i) && CmpHolds(op, Cmp3(a[i], b[i]));
+      }
+      return;
+    }
+    case ExprKind::kAnd:
+    case ExprKind::kOr: {
+      const bool is_and = e.kind == ExprKind::kAnd;
+      int64_t* v = out.MutableInts(DataType::kBool, n);
+      for (int i = 0; i < n; ++i) v[i] = is_and ? 1 : 0;
+      for (Node& c : node->children) {
+        const ColumnVector cv = c.out.view();
+        for (int i = 0; i < n; ++i) {
+          if (is_and) {
+            v[i] &= Truthy(cv, i) ? 1 : 0;
+          } else {
+            v[i] |= Truthy(cv, i) ? 1 : 0;
+          }
+        }
+      }
+      return;
+    }
+    case ExprKind::kNot: {
+      const ColumnVector cv = node->children[0].out.view();
+      int64_t* v = out.MutableInts(DataType::kBool, n);
+      for (int i = 0; i < n; ++i) v[i] = Truthy(cv, i) ? 0 : 1;
+      return;
+    }
+    default:
+      CHECK(false) << "unexpected expression kind in ExprProgram";
   }
 }
 

@@ -1,49 +1,84 @@
-// Vectorized predicate kernels over columnar storage (DESIGN.md §10).
+// Vectorized predicate kernels and expression evaluation over column spans
+// (DESIGN.md §10).
 //
 // CompiledPredicate lowers a bound conjunction into typed per-conjunct
-// kernels that compact an int32 selection vector of row ids — tight
-// branch-light loops over the contiguous column arrays instead of per-row
-// EvalPredicate over materialized rows. String predicates run on dictionary
-// codes: equality compares raw codes, ranges compare ranks (identical to
-// codes once the dictionary is finalized into value order). Conjuncts the
-// compiler cannot lower (arithmetic, cross-type strings, general ORs) are
-// kept as a row-level residual evaluated only for rows that survive the
-// kernels.
+// kernels that compact an int32 selection vector of physical positions —
+// tight branch-light loops over contiguous column spans. The spans come
+// from a ColumnStore (scans) or from a batch (Filter, join residuals), so
+// store scans and batches share one kernel set. String predicates run on
+// dictionary codes: equality compares raw codes, ranges compare ranks
+// (identical to codes once the dictionary is finalized into value order).
+// Conjuncts the compiler cannot lower (arithmetic, cross-type strings,
+// general ORs) form a residual evaluated column-wise by ExprProgram, only
+// for positions that survive the kernels.
 //
-// Compilation captures raw pointers into the ColumnStore (data spans, rank
-// tables); it is therefore valid only while the store is immutable — the
-// same window in which fused scan consumers run (CLAUDE.md storage
-// invariants).
+// Compilation captures dictionary codes and rank thresholds, so a compiled
+// predicate is valid only for spans over the same dictionaries — those of
+// one scan, or of one operator's output stream.
 #ifndef SUBSHARE_PHYSICAL_COLUMN_KERNELS_H_
 #define SUBSHARE_PHYSICAL_COLUMN_KERNELS_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "expr/evaluator.h"
-#include "physical/row_batch.h"
-#include "storage/column_store.h"
+#include "physical/column_batch.h"
 
 namespace subshare {
 
+// Column-wise evaluation of one bound expression (bound_index i reads
+// cols[i]) in two-valued logic: arithmetic with a null operand or a zero
+// divisor is null (integer arithmetic wraps), comparisons follow
+// Value::Compare and are false against null, AND/OR/NOT read null as false. Each node keeps its result buffer across calls, so
+// steady-state evaluation allocates nothing.
+class ExprProgram {
+ public:
+  ExprProgram() = default;
+  explicit ExprProgram(const ExprPtr& bound);
+
+  bool empty() const { return bound_ == nullptr; }
+  // Evaluates over cells rows[0..n) of `cols` (rows == nullptr: 0..n-1).
+  // The result holds n dense cells and is valid until the next Eval.
+  const ColumnBuffer& Eval(const std::vector<ColumnVector>& cols,
+                           const int32_t* rows, int n);
+
+ private:
+  struct Node {
+    const Expr* expr = nullptr;
+    std::vector<Node> children;
+    ColumnBuffer out;
+    std::vector<double> lhs, rhs;  // int operands read as doubles
+    StringDictionary literal;      // a string literal's one-entry dictionary
+  };
+  static void Build(const Expr& e, Node* node);
+  static void EvalNode(Node* node, const std::vector<ColumnVector>& cols,
+                       const int32_t* rows, int n);
+
+  ExprPtr bound_;
+  Node root_;
+};
+
 class CompiledPredicate {
  public:
-  // Compiles `bound` (a predicate bound against the store's column order:
-  // bound_index i reads store.column(i)); null means pass-everything.
+  // Compiles `bound` (bound_index i reads cols[i]); null means
+  // pass-everything.
   static CompiledPredicate Compile(const ExprPtr& bound,
-                                   const ColumnStore& store);
+                                   const std::vector<ColumnVector>& cols);
 
   // True when compilation proved no row can pass (e.g. equality against a
   // string absent from the dictionary).
   bool always_false() const { return always_false_; }
-  // Row-level remainder; null when every conjunct was lowered to a kernel.
-  const ExprPtr& residual() const { return residual_; }
 
-  // Fills `sel` with the ids of rows in [start, start+n) that pass every
-  // kernel (not the residual); returns the count. `sel` must hold n slots.
-  int FilterDense(int64_t start, int n, int32_t* sel) const;
-  // Same over explicit row ids pos[0..n); survivors keep their absolute id.
-  int FilterPositions(const int64_t* pos, int n, int32_t* sel) const;
+  // Compacts sel[0..count) (physical positions into `cols`) to the
+  // positions passing every kernel and the residual; returns the count.
+  int Filter(const std::vector<ColumnVector>& cols, int32_t* sel, int count);
+  // Filter over the dense positions [start, start+n) / explicit positions
+  // pos[0..n); `sel` must hold n slots.
+  int FilterDense(const std::vector<ColumnVector>& cols, int64_t start, int n,
+                  int32_t* sel);
+  int FilterPositions(const std::vector<ColumnVector>& cols,
+                      const int64_t* pos, int n, int32_t* sel);
 
  private:
   struct Step {
@@ -75,28 +110,21 @@ class CompiledPredicate {
   };
 
   // Lowers one conjunct into `steps_`; false -> keep it in the residual.
-  bool CompileConjunct(const ExprPtr& conjunct, const ColumnStore& store);
-  bool CompileComparison(const Expr& e, const ColumnStore& store);
-  bool CompileInList(const Expr& or_expr, const ColumnStore& store);
+  bool CompileConjunct(const ExprPtr& conjunct,
+                       const std::vector<ColumnVector>& cols);
+  bool CompileComparison(const Expr& e, const std::vector<ColumnVector>& cols);
+  bool CompileInList(const Expr& or_expr,
+                     const std::vector<ColumnVector>& cols);
 
-  int RunSteps(int32_t* sel, int count) const;
+  int RunSteps(const std::vector<ColumnVector>& cols, int32_t* sel,
+               int count) const;
 
-  const ColumnStore* store_ = nullptr;
   std::vector<Step> steps_;
-  ExprPtr residual_;
+  // Residual conjuncts, evaluated column-wise (shared: copies of a compiled
+  // predicate are never used concurrently).
+  std::shared_ptr<ExprProgram> residual_;
   bool always_false_ = false;
 };
-
-// Evaluates `residual` (bound against the store's column order) for each
-// selected row, gathering the row into `*scratch`, and compacts `sel` to the
-// survivors. Returns the new count. A null residual is a no-op.
-int ApplyRowResidual(const ColumnStore& store, const ExprPtr& residual,
-                     int32_t* sel, int count, Row* scratch);
-
-// Appends rows sel[0..count), projected through `map` (map[j] = store
-// column index), to `out` — the columnar/row boundary gather.
-void GatherInto(const ColumnStore& store, const int32_t* sel, int count,
-                const std::vector<int>& map, RowBatch* out);
 
 }  // namespace subshare
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <set>
 
 #include "physical/column_kernels.h"
@@ -33,57 +34,119 @@ std::vector<int> MappingTo(const Layout& source, const Layout& target) {
   return map;
 }
 
-// True if `map` is the identity over rows of width `source_width` (output
-// rows can then be moved through instead of re-gathered).
-bool IsIdentityMapping(const std::vector<int>& map, int source_width) {
-  if (static_cast<int>(map.size()) != source_width) return false;
-  for (size_t i = 0; i < map.size(); ++i) {
-    if (map[i] != static_cast<int>(i)) return false;
+// Physical positions of a batch's logical rows: its selection vector, or
+// 0..size-1 written into `scratch`.
+const int32_t* Positions(const ColumnBatch& batch,
+                         std::vector<int32_t>* scratch) {
+  if (batch.sel() != nullptr) return batch.sel();
+  scratch->resize(static_cast<size_t>(batch.size()));
+  std::iota(scratch->begin(), scratch->end(), 0);
+  return scratch->data();
+}
+
+// Opens `child` and drains it into one owned buffer per column, with
+// `views` over them; returns the row count (also right for zero-width
+// inputs).
+int DrainColumns(Operator* child, int width, std::vector<ColumnBuffer>* out,
+                 std::vector<ColumnVector>* views) {
+  child->Open();
+  out->clear();
+  out->resize(static_cast<size_t>(width));
+  ColumnBatch batch;
+  int64_t rows = 0;
+  while (child->NextBatch(&batch)) {
+    for (int c = 0; c < width; ++c) {
+      (*out)[c].Gather(batch.column(c), batch.sel(), batch.size());
+    }
+    rows += batch.size();
   }
-  return true;
+  CHECK(rows < (int64_t{1} << 31));
+  views->clear();
+  for (const ColumnBuffer& b : *out) views->push_back(b.view());
+  return static_cast<int>(rows);
 }
 
-Row ApplyMapping(const Row& source, const std::vector<int>& map) {
-  Row out;
-  out.reserve(map.size());
-  for (int idx : map) out.push_back(source[idx]);
-  return out;
+// Key bits of a double: -0.0 and 0.0 share one key.
+inline uint64_t DoubleKeyBits(double d) {
+  if (d == 0) d = 0.0;
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
 }
 
-// Hash of the key columns `idx` of `row` (Value::Hash agrees with
-// Value::Compare across int/double and -0.0).
-size_t HashRowAt(const Row& row, const std::vector<int>& idx) {
-  size_t seed = 0;
-  for (int i : idx) HashCombine(&seed, row[i].Hash());
-  return seed;
-}
-
-// Key equality: Value::Compare semantics, except that nulls equal each other.
-// Same-type cells (every key column in practice) compare inline.
-bool KeyValueEq(const Value& a, const Value& b) {
-  if (a.is_null() || b.is_null()) return a.is_null() == b.is_null();
-  if (a.type() != b.type()) return a.Compare(b) == 0;
-  switch (a.type()) {
-    case DataType::kString:
-      return a.AsString() == b.AsString();
+// Fills cell[0..n) / null[0..n) with the hash-key cells of column v for
+// rows pos[0..n): an int-family cell's exact int64 bits (its value widened
+// to double bits when `as_double`), a double's -0.0-normalized bits, or a
+// string's code in v's dictionary; 0 for null.
+void KeyCells(const ColumnVector& v, const int32_t* pos, int n, bool as_double,
+              uint64_t* cell, uint8_t* null) {
+  for (int i = 0; i < n; ++i) null[i] = v.IsNull(pos[i]) ? 1 : 0;
+  switch (v.type) {
     case DataType::kDouble:
-      return a.AsDouble() == b.AsDouble();
+      for (int i = 0; i < n; ++i) {
+        cell[i] = null[i] ? 0 : DoubleKeyBits(v.doubles[pos[i]]);
+      }
+      return;
+    case DataType::kString:
+      for (int i = 0; i < n; ++i) {
+        cell[i] = null[i] ? 0 : static_cast<uint64_t>(v.codes[pos[i]]);
+      }
+      return;
     default:
-      return a.AsInt64() == b.AsInt64();
+      for (int i = 0; i < n; ++i) {
+        const int64_t x = null[i] ? 0 : v.ints[pos[i]];
+        cell[i] = as_double ? DoubleKeyBits(static_cast<double>(x))
+                            : static_cast<uint64_t>(x);
+      }
+      return;
   }
 }
 
-bool HasNullAt(const Row& row, const std::vector<int>& idx) {
-  for (int i : idx) {
-    if (row[i].is_null()) return true;
+// Three-way comparison of cell pa of `a` and cell pb of `b` with
+// Value::Compare semantics: null first, int family exact, any double side
+// as doubles, strings by value (also across dictionaries).
+int CompareCells(const ColumnVector& a, int32_t pa, const ColumnVector& b,
+                 int32_t pb) {
+  const bool na = a.IsNull(pa), nb = b.IsNull(pb);
+  if (na || nb) return na == nb ? 0 : (na ? -1 : 1);
+  if (a.type == DataType::kString) {
+    DCHECK(b.type == DataType::kString);
+    if (a.dict == b.dict && a.codes[pa] == b.codes[pb]) return 0;
+    return a.dict->value(a.codes[pa]).compare(b.dict->value(b.codes[pb]));
   }
-  return false;
+  if (a.type != DataType::kDouble && b.type != DataType::kDouble) {
+    const int64_t x = a.ints[pa], y = b.ints[pb];
+    return x < y ? -1 : (x > y ? 1 : 0);
+  }
+  const double x = a.type == DataType::kDouble
+                       ? a.doubles[pa]
+                       : static_cast<double>(a.ints[pa]);
+  const double y = b.type == DataType::kDouble
+                       ? b.doubles[pb]
+                       : static_cast<double>(b.ints[pb]);
+  return x < y ? -1 : (x > y ? 1 : 0);
 }
 
-// Output assembly shared by the join operators. Each output column copies
-// straight from the left (probe / outer) or the right (build / inner) row
-// through per-side copy lists; a residual predicate is evaluated over the
-// concatenated left ++ right row, built in a reused scratch row.
+// Stable-sorts `order` (positions into `cols`) on the key columns keys[i],
+// in Value::Compare order (nulls first), descending where desc[i].
+void SortPositions(const std::vector<ColumnVector>& cols,
+                   const std::vector<int>& keys, const std::vector<bool>& desc,
+                   std::vector<int32_t>* order) {
+  std::stable_sort(order->begin(), order->end(), [&](int32_t a, int32_t b) {
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const ColumnVector& c = cols[keys[i]];
+      const int cmp = CompareCells(c, a, c, b);
+      if (cmp != 0) return desc[i] ? cmp > 0 : cmp < 0;
+    }
+    return false;
+  });
+}
+
+// Output assembly shared by the join operators: the joined pairs
+// (left position, right position) that pass the residual predicate are
+// gathered column by column into the output batch's buffers, each output
+// column straight from the left or the right input. The residual is
+// evaluated over a pair batch holding just the columns it reads.
 class JoinOutput {
  public:
   struct OutCopy {
@@ -91,13 +154,12 @@ class JoinOutput {
     int src;  // index on the source side
   };
 
-  // `left` / `right` are the layouts of the rows Emit receives.
+  // `left` / `right` are the layouts of the inputs Emit receives.
   void Bind(const Layout& left, const Layout& right, const ExprPtr& residual,
             const Layout& output) {
     std::vector<ColId> concat = left.cols();
     concat.insert(concat.end(), right.cols().begin(), right.cols().end());
     Layout concat_layout(std::move(concat));
-    residual_ = residual ? BindExpr(residual, concat_layout) : nullptr;
     left_width_ = left.size();
     width_ = output.size();
     left_.clear();
@@ -110,43 +172,100 @@ class JoinOutput {
         right_.push_back({static_cast<int>(j), map[j] - left_width_});
       }
     }
+    residual_ = residual ? BindExpr(residual, concat_layout) : nullptr;
+    residual_cols_.clear();
+    if (residual_ != nullptr) {
+      std::set<ColId> cols;
+      CollectColumns(residual, &cols);
+      for (ColId c : cols) residual_cols_.push_back(concat_layout.IndexOf(c));
+      pair_cols_.assign(static_cast<size_t>(concat_layout.size()),
+                        ColumnVector());
+      pair_bufs_.resize(static_cast<size_t>(concat_layout.size()));
+    }
+    compiled_ = false;
   }
 
-  bool has_residual() const { return residual_ != nullptr; }
-  // Output columns copied from the left row.
-  const std::vector<OutCopy>& left_copies() const { return left_; }
+  // Starts an output batch.
+  void Begin(ColumnBatch* out) {
+    out->Reset(width_);
+    for (int j = 0; j < width_; ++j) out->buffer(j)->clear();
+    rows_ = 0;
+  }
+  // Rows emitted since Begin.
+  int rows() const { return rows_; }
 
-  // Appends the join of (l, r) to `out` unless the residual rejects it.
-  void Emit(const Row& l, const Row& r, RowBatch* out) {
-    if (residual_ != nullptr) {
-      concat_.resize(static_cast<size_t>(left_width_) + r.size());
-      std::copy(l.begin(), l.begin() + left_width_, concat_.begin());
-      std::copy(r.begin(), r.end(), concat_.begin() + left_width_);
-      if (!EvalPredicate(residual_, concat_)) return;
+  // Emits the pairs (left cell lpos[i], right cell rpos[i]), i < n, that
+  // pass the residual. Compacts lpos/rpos in place.
+  void Emit(const std::vector<ColumnVector>& left,
+            const std::vector<ColumnVector>& right, int32_t* lpos,
+            int32_t* rpos, int n, ColumnBatch* out) {
+    if (residual_ != nullptr && n > 0) n = FilterPairs(left, right, lpos, rpos, n);
+    for (const OutCopy& c : left_) {
+      out->buffer(c.dst)->Gather(left[c.src], lpos, n);
     }
-    Row& dst = out->AppendSlot();
-    dst.resize(static_cast<size_t>(width_));
-    for (const OutCopy& c : left_) dst[c.dst] = l[c.src];
-    for (const OutCopy& c : right_) dst[c.dst] = r[c.src];
+    for (const OutCopy& c : right_) {
+      out->buffer(c.dst)->Gather(right[c.src], rpos, n);
+    }
+    rows_ += n;
+  }
+
+  // Points the batch at its buffers.
+  void Finish(ColumnBatch* out) {
+    for (int j = 0; j < width_; ++j) out->UseBuffer(j);
+    out->set_size(rows_);
   }
 
  private:
-  ExprPtr residual_;
+  int FilterPairs(const std::vector<ColumnVector>& left,
+                  const std::vector<ColumnVector>& right, int32_t* lpos,
+                  int32_t* rpos, int n) {
+    for (int idx : residual_cols_) {
+      ColumnBuffer& buf = pair_bufs_[static_cast<size_t>(idx)];
+      buf.clear();
+      if (idx < left_width_) {
+        buf.Gather(left[idx], lpos, n);
+      } else {
+        buf.Gather(right[idx - left_width_], rpos, n);
+      }
+      pair_cols_[static_cast<size_t>(idx)] = buf.view();
+    }
+    if (!compiled_) {
+      pred_ = CompiledPredicate::Compile(residual_, pair_cols_);
+      compiled_ = true;
+    }
+    sel_.resize(static_cast<size_t>(n));
+    std::iota(sel_.begin(), sel_.end(), 0);
+    const int kept = pred_.Filter(pair_cols_, sel_.data(), n);
+    for (int i = 0; i < kept; ++i) {  // sel_ ascends: compaction in place
+      lpos[i] = lpos[sel_[i]];
+      rpos[i] = rpos[sel_[i]];
+    }
+    return kept;
+  }
+
   int left_width_ = 0;
   int width_ = 0;
   std::vector<OutCopy> left_;
   std::vector<OutCopy> right_;
-  Row concat_;
+  int rows_ = 0;
+  // Residual over the concatenated left ++ right columns.
+  ExprPtr residual_;
+  std::vector<int> residual_cols_;
+  std::vector<ColumnVector> pair_cols_;
+  std::vector<ColumnBuffer> pair_bufs_;
+  CompiledPredicate pred_;
+  bool compiled_ = false;
+  std::vector<int32_t> sel_;
 };
 
 // Open-addressed hash table over one uint64 key: maps key -> chain of ids
 // (power-of-two capacity, linear probing). The executor's one hash table.
-// As the batch engine's equi-join probe table the ids are build-row indexes:
-// the int fast path stores the exact int64 key bits (chains are per-key),
-// the generic path stores the key hash (chains may interleave
-// hash-colliding keys; callers filter at emit). As the hash aggregation's
-// group table (ResetGroups / FindOrInsert) the ids are group ids, keyed the
-// same two ways. Building and probing do no per-row allocation.
+// As the equi-join probe table the ids are build-row indexes; as the hash
+// aggregation's group table (ResetGroups / FindOrInsert) they are group
+// ids. Either way a single-column key is stored as its exact cell bits
+// (chains are per key) and a multi-column key as its hash (chains may
+// interleave colliding keys; callers check cells). Building and probing do
+// no per-row allocation.
 //
 // Probes run per window through FindBatch (DESIGN.md §11), an AMAC-style
 // state machine: up to kInFlight lookups in flight, each issuing a prefetch
@@ -288,84 +407,67 @@ struct ChainTable {
 
 // ---------------------------------------------------------------- scans ---
 
-// Filters one window of a scan — [start, start+n) dense rows, or that slice
-// of `pos` — into `sel` (absolute row ids): compiled kernels first, then the
-// row-level residual (gathered into *scratch only for kernel survivors).
-// Returns the survivor count. Shared by the scan operators and both fused
-// consumers (hash-join probe, hash aggregation).
-int FilterWindow(const ColumnStore& store, const std::vector<int64_t>* pos,
-                 const CompiledPredicate& pred, int64_t start, int n,
-                 int32_t* sel, Row* scratch) {
-  int count = pos != nullptr
-                  ? pred.FilterPositions(pos->data() + start, n, sel)
-                  : pred.FilterDense(start, n, sel);
-  return ApplyRowResidual(store, pred.residual(), sel, count, scratch);
-}
-
-// Table scan and spool scan share the same shape: iterate a backing
-// ColumnStore, apply the scan predicate, emit rows in the output layout.
-// The batched path runs the compiled kernels over a window of rows into a
-// selection vector and gathers only the surviving rows' output columns —
-// row materialization happens exclusively at this columnar/row boundary.
+// Table scan and spool scan share the same shape: run the compiled filter
+// kernels over a window of the backing ColumnStore into the batch's
+// selection vector and hand out spans over the store — no gather.
 class ScanBase : public Operator {
  public:
   ScanBase(const PhysicalNode& node, ExecContext* ctx)
       : Operator(ctx), node_(node) {}
 
-  ScanSource* AsScanSource() override {
-    if (store_ == nullptr) return nullptr;  // not opened yet
-    source_info_.store = store_;
-    source_info_.positions = use_positions_ ? &positions_ : nullptr;
-    source_info_.pred = &pred_;
-    source_info_.storage = storage_layout_;
-    source_info_.count_spool_reads = count_spool_reads_;
-    source_info_.stats = stats_;
-    return &source_info_;
-  }
-
  protected:
-  // Subclasses set these in OpenImpl (store_ before OpenScan).
-  const ColumnStore* store_ = nullptr;  // backing columns
-  std::vector<int64_t> positions_;      // index-scan row positions
-  bool use_positions_ = false;
-  bool count_spool_reads_ = false;
-  CompiledPredicate pred_;
-  std::vector<int> map_;  // output col -> store col
-  int64_t cursor_ = 0;
-
-  void OpenScan(const Layout& storage_layout) {
-    storage_layout_ = storage_layout;
+  // Subclasses call this in OpenImpl (positions_ may be set after).
+  void OpenScan(const ColumnStore& store, const Layout& storage_layout) {
+    store_ = &store;
+    cols_.clear();
+    for (int c = 0; c < store.num_columns(); ++c) {
+      cols_.push_back(store.column(c).View());
+    }
     pred_ = CompiledPredicate::Compile(
         node_.filter ? BindExpr(node_.filter, storage_layout) : nullptr,
-        *store_);
+        cols_);
     map_ = MappingTo(storage_layout, node_.output);
     cursor_ = 0;
   }
 
-  bool NextBatchImpl(RowBatch* out) override {
-    int64_t limit = use_positions_ ? static_cast<int64_t>(positions_.size())
-                                   : store_->num_rows();
-    while (out->empty() && cursor_ < limit) {
-      int window = static_cast<int>(
+  bool NextBatchImpl(ColumnBatch* out) override {
+    const int64_t limit = use_positions_
+                              ? static_cast<int64_t>(positions_.size())
+                              : store_->num_rows();
+    out->Reset(static_cast<int>(map_.size()));
+    while (cursor_ < limit) {
+      const int window = static_cast<int>(
           std::min<int64_t>(out->capacity(), limit - cursor_));
       ctx_->rows_scanned += window;
       if (count_spool_reads_) ctx_->spool_rows_read += window;
-      sel_.resize(static_cast<size_t>(window));
-      int count = FilterWindow(*store_, use_positions_ ? &positions_ : nullptr,
-                               pred_, cursor_, window, sel_.data(), &scratch_);
-      GatherInto(*store_, sel_.data(), count, map_, out);
+      int32_t* sel = out->MutableSel(window);
+      const int count =
+          use_positions_
+              ? pred_.FilterPositions(cols_, positions_.data() + cursor_,
+                                      window, sel)
+              : pred_.FilterDense(cols_, cursor_, window, sel);
       cursor_ += window;
+      if (count == 0) continue;
+      for (size_t j = 0; j < map_.size(); ++j) {
+        out->set_column(static_cast<int>(j), cols_[map_[j]]);
+      }
+      out->set_size(count);
+      return true;
     }
-    return !out->empty();
+    return false;
   }
 
   const PhysicalNode& node_;
+  std::vector<int64_t> positions_;  // index-scan row positions
+  bool use_positions_ = false;
+  bool count_spool_reads_ = false;
 
  private:
-  Layout storage_layout_;
-  ScanSource source_info_;
-  std::vector<int32_t> sel_;
-  Row scratch_;
+  const ColumnStore* store_ = nullptr;
+  std::vector<ColumnVector> cols_;  // spans over every store column
+  CompiledPredicate pred_;
+  std::vector<int> map_;  // output col -> store col
+  int64_t cursor_ = 0;
 };
 
 class TableScanOp : public ScanBase {
@@ -373,9 +475,7 @@ class TableScanOp : public ScanBase {
   using ScanBase::ScanBase;
 
   void OpenImpl() override {
-    store_ = &node_.table->columns();
-    Layout storage_layout(node_.input_cols);
-    OpenScan(storage_layout);
+    OpenScan(node_.table->columns(), Layout(node_.input_cols));
     if (node_.kind == PhysOpKind::kIndexScan) {
       const SortedIndex* idx = node_.table->GetIndex(node_.index_range.column_idx);
       CHECK(idx != nullptr) << "missing index on " << node_.table->name();
@@ -396,15 +496,15 @@ class SpoolScanOp : public ScanBase {
     const WorkTable* work_table = ctx_->work_tables->Get(node_.cse_id);
     CHECK(work_table != nullptr)
         << "CSE " << node_.cse_id << " was not materialized before use";
-    store_ = &work_table->columns();
-    Layout storage_layout(node_.input_cols);
-    OpenScan(storage_layout);
+    OpenScan(work_table->columns(), Layout(node_.input_cols));
     count_spool_reads_ = true;
   }
 };
 
 // --------------------------------------------------------------- filter ---
 
+// Runs the compiled kernels over the child batch's positions and passes
+// the child's spans through with the survivors as the selection vector.
 class FilterOp : public Operator {
  public:
   FilterOp(const PhysicalNode& node, ExecContext* ctx)
@@ -415,475 +515,55 @@ class FilterOp : public Operator {
     Layout child_layout = node_.children[0]->output;
     bound_pred_ = BindExpr(node_.filter, child_layout);
     map_ = MappingTo(child_layout, node_.output);
-    identity_map_ = IsIdentityMapping(map_, child_layout.size());
+    compiled_ = false;
   }
 
-  bool NextBatchImpl(RowBatch* out) override {
-    while (out->empty()) {
-      if (!child_->NextBatch(&input_)) return false;
-      int n = input_.size();
-      keep_.assign(static_cast<size_t>(n), 1);
-      EvalPredicateBatch(bound_pred_, &input_.row(0), n, keep_.data());
-      for (int i = 0; i < n; ++i) {
-        if (!keep_[i]) continue;
-        if (identity_map_) {
-          out->AppendMove(std::move(input_.row(i)));
-        } else {
-          out->AppendMapped(input_.row(i), map_);
-        }
+  bool NextBatchImpl(ColumnBatch* out) override {
+    while (child_->NextBatch(&input_)) {
+      const std::vector<ColumnVector>& cols = input_.columns();
+      if (!compiled_) {  // on the first batch: its string dictionaries
+        pred_ = CompiledPredicate::Compile(bound_pred_, cols);
+        compiled_ = true;
       }
+      const int n = input_.size();
+      out->Reset(static_cast<int>(map_.size()));
+      int32_t* sel = out->MutableSel(n);
+      for (int j = 0; j < n; ++j) sel[j] = input_.pos(j);
+      const int kept = pred_.Filter(cols, sel, n);
+      if (kept == 0) continue;
+      for (size_t j = 0; j < map_.size(); ++j) {
+        out->set_column(static_cast<int>(j), cols[map_[j]]);
+      }
+      out->set_size(kept);
+      return true;
     }
-    return true;
+    return false;
   }
 
  private:
   const PhysicalNode& node_;
   std::unique_ptr<Operator> child_;
   ExprPtr bound_pred_;
+  CompiledPredicate pred_;
+  bool compiled_ = false;
   std::vector<int> map_;
-  bool identity_map_ = false;
-  RowBatch input_;
-  std::vector<uint8_t> keep_;
+  ColumnBatch input_;
 };
 
 // ---------------------------------------------------------------- joins ---
 
-// Hash join: builds on the right child, probes with the left. Batched
-// probes extract keys per window (in place, no key row allocated) and
-// resolve all chain heads through ChainTable::FindBatch (AMAC-interleaved).
-// When the probe child is a scan over stable storage (ScanSource), the probe
-// fuses with it: windows of the backing rows are filtered and probed in
-// place, skipping the scan's per-row output copies entirely.
+// Hash join: drains the right child into typed build columns, probes with
+// the left. Each key pair compares as Value::Compare does: int family
+// exactly, as doubles when either side is a double (-0.0 == 0.0), strings
+// by value — probe codes are translated into the build dictionary. A key
+// row becomes one uint64 cell per key column; a single key is its own hash
+// key (chains are per key), several are hashed and chains are checked cell
+// by cell. Null keys never join. Each probe batch resolves all chain heads
+// in one FindBatch pass (AMAC-interleaved); matches are gathered into the
+// output column by column.
 class HashJoinOp : public Operator {
  public:
   HashJoinOp(const PhysicalNode& node, ExecContext* ctx)
-      : Operator(ctx),
-        node_(node),
-        left_(BuildOperator(*node.children[0], ctx)),
-        right_(BuildOperator(*node.children[1], ctx)) {}
-
-  void OpenImpl() override {
-    const Layout& right_layout = node_.children[1]->output;
-    right_key_idx_.clear();
-    for (const auto& [l, r] : node_.join_keys) {
-      int ri = right_layout.IndexOf(r);
-      CHECK(ri >= 0) << "join key missing from build child layout";
-      right_key_idx_.push_back(ri);
-    }
-    build_rows_.clear();
-    DrainChild(right_.get(), &build_rows_);
-    // The common single integer-backed join key (every TPC-H equi-join)
-    // stores the exact int64 key bits, skipping the variant dispatch of
-    // Value::Hash/Compare and all per-row allocation on both build and
-    // probe. The generic path (multi-column, double, string keys) stores
-    // the key hash; its chains may interleave hash-colliding keys, so
-    // emission filters through ChainKeysMatch.
-    int_key_ = right_key_idx_.size() == 1;
-    if (int_key_) {
-      for (const Row& row : build_rows_) {
-        const Value& v = row[right_key_idx_[0]];
-        if (!v.is_null() && (v.type() == DataType::kDouble ||
-                             v.type() == DataType::kString)) {
-          int_key_ = false;
-          break;
-        }
-      }
-    }
-    std::vector<uint64_t> keys;
-    std::vector<int32_t> key_rows;
-    keys.reserve(build_rows_.size());
-    key_rows.reserve(build_rows_.size());
-    for (size_t i = 0; i < build_rows_.size(); ++i) {
-      const Row& row = build_rows_[i];
-      if (HasNullAt(row, right_key_idx_)) continue;  // nulls never join
-      keys.push_back(
-          int_key_ ? static_cast<uint64_t>(row[right_key_idx_[0]].AsInt64())
-                   : static_cast<uint64_t>(HashRowAt(row, right_key_idx_)));
-      key_rows.push_back(static_cast<int32_t>(i));
-    }
-    table_.Build(keys.data(), key_rows.data(), static_cast<int>(keys.size()),
-                 static_cast<int>(build_rows_.size()));
-
-    left_->Open();
-    // Scan fusion: probe the left scan's backing rows in place. Probe-side
-    // key indexes, the residual, and the output map then bind against the
-    // scan's storage layout instead of its (never materialized) output.
-    fused_ = left_->AsScanSource();
-    if (fused_ != nullptr) fused_->stats->fused = true;
-    const Layout& left_layout =
-        fused_ != nullptr ? fused_->storage : node_.children[0]->output;
-
-    left_key_idx_.clear();
-    for (const auto& [l, r] : node_.join_keys) {
-      int li = left_layout.IndexOf(l);
-      CHECK(li >= 0) << "join key missing from probe child layout";
-      left_key_idx_.push_back(li);
-    }
-    output_.Bind(left_layout, right_layout, node_.join_residual,
-                 node_.output);
-    left_width_ = left_layout.size();
-
-    // Fused probes gather the probe row only when it has matches (and only
-    // the columns the output copies), so filtered-out and matchless rows
-    // never materialize. A residual (or the general hash path) needs the
-    // full storage-width row.
-    left_gather_.clear();
-    if (fused_ != nullptr) {
-      if (int_key_ && !output_.has_residual()) {
-        for (const JoinOutput::OutCopy& c : output_.left_copies()) {
-          left_gather_.push_back(c.src);
-        }
-      } else {
-        for (int i = 0; i < left_width_; ++i) left_gather_.push_back(i);
-      }
-    }
-
-    chain_ = -1;
-    cur_head_ = -1;
-    cur_left_ = nullptr;
-    probe_.clear();
-    probe_idx_ = 0;
-    batch_heads_.clear();
-    fcursor_ = 0;
-    win_count_ = 0;
-    win_idx_ = 0;
-  }
-
-  bool NextBatchImpl(RowBatch* out) override {
-    while (!out->full()) {
-      // Emit the full chain for the current probe row first (may overshoot
-      // capacity slightly; bounded by one chain).
-      if (chain_ >= 0) {
-        do {
-          const Row& right = build_rows_[static_cast<size_t>(chain_)];
-          chain_ = table_.next[static_cast<size_t>(chain_)];
-          // Generic-path chains are keyed by hash; drop colliding keys.
-          if (!int_key_ && !ChainKeysMatch(*cur_left_, right)) continue;
-          output_.Emit(*cur_left_, right, out);
-        } while (chain_ >= 0);
-        continue;
-      }
-      if (!AdvanceProbe()) break;
-    }
-    return !out->empty();
-  }
-
- private:
-  // Exact key equality between a probe row and a chained build row, with
-  // Value::Compare cross-type semantics (KeyValueEq). Needed on the generic
-  // path only: its chains are keyed by hash, so rows whose keys collide
-  // share a chain.
-  bool ChainKeysMatch(const Row& left_row, const Row& right_row) const {
-    for (size_t i = 0; i < left_key_idx_.size(); ++i) {
-      if (!KeyValueEq(left_row[left_key_idx_[i]],
-                      right_row[right_key_idx_[i]])) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  // Acquires the next probe row whose chain head was resolved by the
-  // window's FindBatch, setting chain_ and cur_left_ when it has (possible)
-  // matches. Returns false at the end of the probe stream. A true return
-  // with nothing matched just means the caller should advance again.
-  bool AdvanceProbe() {
-    if (fused_ != nullptr) {
-      int32_t row_id = FusedAdvance();  // sets cur_head_ per surviving row
-      if (row_id < 0) return false;
-      if (cur_head_ >= 0) {
-        chain_ = cur_head_;
-        cur_left_ = GatherProbe(row_id);
-      }
-      return true;
-    }
-    const Row* probe = BatchAdvance();  // sets cur_head_
-    if (probe == nullptr) return false;
-    if (cur_head_ >= 0) {
-      chain_ = cur_head_;
-      cur_left_ = probe;
-    }
-    return true;
-  }
-
-  // Gathers the needed columns of fused probe row `row_id` into the probe
-  // scratch row (full storage width; columns outside left_gather_ keep
-  // stale values the emit path never reads).
-  const Row* GatherProbe(int32_t row_id) {
-    probe_scratch_.resize(static_cast<size_t>(left_width_));
-    const ColumnStore& store = *fused_->store;
-    for (int j : left_gather_) {
-      probe_scratch_[static_cast<size_t>(j)] = store.column(j).Get(row_id);
-    }
-    return &probe_scratch_;
-  }
-
-  // Extracts the int64 fast-path key of a non-null value, mirroring
-  // Value::Compare's cross-type semantics: an integral double equals the
-  // same int64; anything else cannot match an integer key.
-  static bool IntValueKey(const Value& v, int64_t* key) {
-    if (v.type() == DataType::kDouble) {
-      double d = v.AsDouble();
-      if (d != std::floor(d) || std::abs(d) >= 9.0e18) return false;
-      *key = static_cast<int64_t>(d);
-    } else if (v.type() == DataType::kString) {
-      return false;
-    } else {
-      *key = v.AsInt64();
-    }
-    return true;
-  }
-
-  // Next probe row pulled through the child's batch interface; nullptr at
-  // end of stream. Null-key rows never join and are skipped here; the rest
-  // carry the chain head their batch's FindBatch window resolved.
-  const Row* BatchAdvance() {
-    while (true) {
-      ++probe_idx_;
-      if (probe_idx_ >= probe_.size()) {
-        if (!left_->NextBatch(&probe_)) return nullptr;
-        probe_idx_ = 0;
-        ResolveBatchHeads();
-      }
-      const Row& row = probe_.row(probe_idx_);
-      if (HasNullAt(row, left_key_idx_)) continue;
-      cur_head_ = batch_heads_[static_cast<size_t>(probe_idx_)];
-      return &row;
-    }
-  }
-
-  // One probe window over a freshly pulled batch: extract each row's key
-  // (null keys — and non-integer keys on the int path — resolve to "no
-  // match" without touching the table), then resolve all chain heads in one
-  // FindBatch pass so the lookups' cache misses overlap.
-  void ResolveBatchHeads() {
-    const int n = probe_.size();
-    batch_heads_.assign(static_cast<size_t>(n), -1);
-    win_keys_.clear();
-    key_rows_.clear();
-    for (int i = 0; i < n; ++i) {
-      const Row& row = probe_.row(i);
-      if (HasNullAt(row, left_key_idx_)) continue;
-      uint64_t key;
-      if (int_key_) {
-        int64_t ik;
-        if (!IntValueKey(row[left_key_idx_[0]], &ik)) continue;
-        key = static_cast<uint64_t>(ik);
-      } else {
-        key = HashRowAt(row, left_key_idx_);
-      }
-      win_keys_.push_back(key);
-      key_rows_.push_back(i);
-    }
-    win_heads_.resize(win_keys_.size());
-    int depth = table_.FindBatch(win_keys_.data(),
-                                 static_cast<int>(win_keys_.size()),
-                                 win_heads_.data());
-    for (size_t j = 0; j < key_rows_.size(); ++j) {
-      batch_heads_[static_cast<size_t>(key_rows_[j])] = win_heads_[j];
-    }
-    NoteProbeWindow(static_cast<int>(win_keys_.size()), depth);
-  }
-
-  // Probe-counter bookkeeping, one call per FindBatch window.
-  void NoteProbeWindow(int keys, int depth) {
-    if (keys == 0) return;
-    ++ctx_->probe_windows;
-    ctx_->probe_keys += keys;
-    if (depth > ctx_->probe_in_flight) ctx_->probe_in_flight = depth;
-  }
-
-  // Next probe row id read in place from the fused scan's backing columns;
-  // -1 at end of stream. Windows are filtered through the scan's compiled
-  // kernels (plus row residual), then join-key null handling runs on the
-  // surviving selection vector — nulls never join — and keys are extracted
-  // into win_keys_ in the same typed pass (exact int64 bits on the fast
-  // path, RowKey hashes on the generic path). Each window's chain heads are
-  // then resolved in one FindBatch pass into win_heads_, so the per-row
-  // resume only copies cur_head_. Surviving rows are probed without
-  // materializing; GatherProbe copies one only when it matches. Scan
-  // counters are credited per window, exactly as the scan itself would
-  // credit them.
-  int32_t FusedAdvance() {
-    const ColumnStore& store = *fused_->store;
-    const std::vector<int64_t>* pos = fused_->positions;
-    const int64_t limit = pos != nullptr ? static_cast<int64_t>(pos->size())
-                                         : store.num_rows();
-    while (true) {
-      if (win_idx_ < win_count_) {
-        int i = win_idx_++;
-        cur_head_ = win_heads_[i];
-        return win_sel_[i];
-      }
-      if (fcursor_ >= limit) return -1;
-      const int window = static_cast<int>(
-          std::min<int64_t>(RowBatch::kDefaultCapacity, limit - fcursor_));
-      ctx_->rows_scanned += window;
-      if (fused_->count_spool_reads) ctx_->spool_rows_read += window;
-      win_sel_.resize(static_cast<size_t>(window));
-      int count = FilterWindow(store, pos, *fused_->pred, fcursor_, window,
-                               win_sel_.data(), &scratch_row_);
-      fcursor_ += window;
-      if (int_key_) {
-        const Column& kcol = store.column(left_key_idx_[0]);
-        win_keys_.resize(static_cast<size_t>(count));
-        const NullBitmap& nulls = kcol.nulls();
-        int kept = 0;
-        if (kcol.type() == DataType::kString) {
-          count = 0;  // string keys never take the int path (IntValueKey)
-        } else if (kcol.type() == DataType::kDouble) {
-          const double* v = kcol.doubles();
-          for (int i = 0; i < count; ++i) {
-            int32_t r = win_sel_[i];
-            if (nulls.any() && nulls.Test(r)) continue;
-            double d = v[r];
-            if (d != std::floor(d) || std::abs(d) >= 9.0e18) continue;
-            win_sel_[kept] = r;
-            win_keys_[kept] = static_cast<uint64_t>(static_cast<int64_t>(d));
-            ++kept;
-          }
-          count = kept;
-        } else if (nulls.any()) {
-          const int64_t* v = kcol.ints();
-          for (int i = 0; i < count; ++i) {
-            int32_t r = win_sel_[i];
-            if (nulls.Test(r)) continue;
-            win_sel_[kept] = r;
-            win_keys_[kept] = static_cast<uint64_t>(v[r]);
-            ++kept;
-          }
-          count = kept;
-        } else {
-          const int64_t* v = kcol.ints();
-          for (int i = 0; i < count; ++i) {
-            win_keys_[i] = static_cast<uint64_t>(v[win_sel_[i]]);
-          }
-        }
-      } else {
-        for (int k : left_key_idx_) {
-          const NullBitmap& nulls = store.column(k).nulls();
-          if (!nulls.any()) continue;
-          int kept = 0;
-          for (int i = 0; i < count; ++i) {
-            if (!nulls.Test(win_sel_[i])) win_sel_[kept++] = win_sel_[i];
-          }
-          count = kept;
-        }
-        // Generic path: hash the key columns straight off the backing
-        // columns (same combination as HashRowAt on a gathered row).
-        win_keys_.resize(static_cast<size_t>(count));
-        for (int i = 0; i < count; ++i) {
-          size_t seed = 0;
-          for (int k : left_key_idx_) {
-            HashCombine(&seed, store.column(k).Get(win_sel_[i]).Hash());
-          }
-          win_keys_[i] = seed;
-        }
-      }
-      win_heads_.resize(static_cast<size_t>(count));
-      int depth =
-          table_.FindBatch(win_keys_.data(), count, win_heads_.data());
-      NoteProbeWindow(count, depth);
-      fused_->stats->rows_out += count;
-      stats_->rows_in += count;
-      win_count_ = count;
-      win_idx_ = 0;
-    }
-  }
-
-
-  const PhysicalNode& node_;
-  std::unique_ptr<Operator> left_;
-  std::unique_ptr<Operator> right_;
-  std::vector<int> left_key_idx_;
-  std::vector<int> right_key_idx_;
-  JoinOutput output_;
-  int left_width_ = 0;
-  // Drained build rows + the ChainTable over them. int_key_ selects
-  // exact-int64 keys (per-key chains) vs. key hashes (chains filtered
-  // through ChainKeysMatch at emit).
-  bool int_key_ = false;
-  std::vector<Row> build_rows_;
-  ChainTable table_;
-  int32_t chain_ = -1;     // next build-row index chained for cur_left_
-  int32_t cur_head_ = -1;  // chain head resolved for the current probe row
-  // Batched probe state.
-  RowBatch probe_;
-  int probe_idx_ = 0;
-  std::vector<int32_t> batch_heads_;  // chain head per row of probe_
-  std::vector<int> key_rows_;         // scratch: rows with probeable keys
-  const Row* cur_left_ = nullptr;     // probe row owning `chain_`
-  // Fused-scan probe state (filtered window over the scan's backing
-  // columns; see FusedAdvance / GatherProbe).
-  ScanSource* fused_ = nullptr;
-  int64_t fcursor_ = 0;
-  int win_count_ = 0;
-  int win_idx_ = 0;
-  std::vector<int32_t> win_sel_;    // surviving row ids of the window
-  std::vector<uint64_t> win_keys_;  // their probe keys (both batch paths)
-  std::vector<int32_t> win_heads_;  // their resolved chain heads
-  std::vector<int> left_gather_;    // store columns GatherProbe must fill
-  Row probe_scratch_;               // gathered probe row (fused path)
-  Row scratch_row_;                 // residual-eval scratch (FilterWindow)
-};
-
-// Nested-loop join with the right side materialized once: every left row of
-// each input batch is paired with every right row, filtered by the
-// predicate. Resumes mid-pair when the output batch fills.
-class NlJoinOp : public Operator {
- public:
-  NlJoinOp(const PhysicalNode& node, ExecContext* ctx)
-      : Operator(ctx),
-        node_(node),
-        left_(BuildOperator(*node.children[0], ctx)),
-        right_(BuildOperator(*node.children[1], ctx)) {}
-
-  void OpenImpl() override {
-    output_.Bind(node_.children[0]->output, node_.children[1]->output,
-                 node_.nl_pred, node_.output);
-    right_rows_.clear();
-    DrainChild(right_.get(), &right_rows_);
-    left_->Open();
-    input_.clear();
-    left_idx_ = 0;
-    right_idx_ = 0;
-  }
-
-  bool NextBatchImpl(RowBatch* out) override {
-    while (!out->full()) {
-      if (left_idx_ >= input_.size()) {
-        if (!left_->NextBatch(&input_)) break;
-        left_idx_ = 0;
-      }
-      const Row& left = input_.row(left_idx_);
-      while (right_idx_ < right_rows_.size() && !out->full()) {
-        output_.Emit(left, right_rows_[right_idx_++], out);
-      }
-      if (right_idx_ == right_rows_.size()) {
-        ++left_idx_;
-        right_idx_ = 0;
-      }
-    }
-    return !out->empty();
-  }
-
- private:
-  const PhysicalNode& node_;
-  std::unique_ptr<Operator> left_;
-  std::unique_ptr<Operator> right_;
-  JoinOutput output_;
-  std::vector<Row> right_rows_;
-  RowBatch input_;        // current left batch
-  int left_idx_ = 0;      // its row being paired
-  size_t right_idx_ = 0;  // next right row to pair with it
-};
-
-// Sort-merge join: materializes and sorts both inputs on the join keys,
-// then merges equal-key ranges (cross product within a range, filtered by
-// the residual predicate). Resumes mid-range when the output batch fills.
-class MergeJoinOp : public Operator {
- public:
-  MergeJoinOp(const PhysicalNode& node, ExecContext* ctx)
       : Operator(ctx),
         node_(node),
         left_(BuildOperator(*node.children[0], ctx)),
@@ -897,59 +577,299 @@ class MergeJoinOp : public Operator {
     for (const auto& [l, r] : node_.join_keys) {
       int li = left_layout.IndexOf(l);
       int ri = right_layout.IndexOf(r);
-      CHECK(li >= 0 && ri >= 0) << "merge-join key missing from child";
+      CHECK(li >= 0) << "join key missing from probe child layout";
+      CHECK(ri >= 0) << "join key missing from build child layout";
       left_key_idx_.push_back(li);
       right_key_idx_.push_back(ri);
     }
+    build_rows_ =
+        DrainColumns(right_.get(), right_layout.size(), &build_, &build_cols_);
+    built_ = false;
     output_.Bind(left_layout, right_layout, node_.join_residual,
                  node_.output);
-
-    auto drain_sorted = [this](Operator* op, const std::vector<int>& keys,
-                               std::vector<Row>* out) {
-      out->clear();
-      DrainChild(op, out);
-      // Null keys never join; drop them up front.
-      out->erase(std::remove_if(out->begin(), out->end(),
-                                [&keys](const Row& r) {
-                                  return HasNullAt(r, keys);
-                                }),
-                 out->end());
-      std::sort(out->begin(), out->end(),
-                [&keys](const Row& a, const Row& b) {
-                  for (int k : keys) {
-                    int c = a[k].Compare(b[k]);
-                    if (c != 0) return c < 0;
-                  }
-                  return false;
-                });
-    };
-    drain_sorted(left_.get(), left_key_idx_, &left_rows_);
-    drain_sorted(right_.get(), right_key_idx_, &right_rows_);
-    li_ = ri_ = 0;
-    range_li_ = range_lend_ = range_rbegin_ = range_ri_ = range_rend_ = 0;
+    left_->Open();
+    probe_live_ = false;
+    probe_idx_ = 0;
+    chain_ = -1;
+    foreign_.assign(left_key_idx_.size(), CodeRemap());
   }
 
-  bool NextBatchImpl(RowBatch* out) override {
-    while (!out->full()) {
-      if (range_li_ == range_lend_ && !NextRange()) break;
-      const Row& left = left_rows_[range_li_];
-      while (range_ri_ < range_rend_ && !out->full()) {
-        output_.Emit(left, right_rows_[range_ri_++], out);
-      }
-      if (range_ri_ == range_rend_) {
-        ++range_li_;
-        range_ri_ = range_rbegin_;
-      }
+  bool NextBatchImpl(ColumnBatch* out) override {
+    if (build_rows_ == 0) return false;  // nothing can match
+    output_.Begin(out);
+    const int cap = out->capacity();
+    if (lpos_.size() < static_cast<size_t>(cap)) {
+      lpos_.resize(static_cast<size_t>(cap));
+      rpos_.resize(static_cast<size_t>(cap));
     }
+    int pending = 0;
+    while (output_.rows() + pending < cap) {
+      if (chain_ >= 0) {
+        const int32_t r = chain_;
+        chain_ = table_.next[static_cast<size_t>(r)];
+        if (multi_key_ && !CellsMatch(cur_row_, r)) continue;
+        lpos_[pending] = cur_pos_;
+        rpos_[pending] = r;
+        ++pending;
+        continue;
+      }
+      if (probe_live_ && probe_idx_ < static_cast<int>(key_rows_.size())) {
+        const int i = probe_idx_++;
+        chain_ = heads_[static_cast<size_t>(i)];
+        cur_row_ = key_rows_[static_cast<size_t>(i)];
+        cur_pos_ = probe_.pos(cur_row_);
+        continue;
+      }
+      // The pending pairs point into the current probe batch: emit them
+      // before pulling the next one.
+      Flush(&pending, out);
+      if (!left_->NextBatch(&probe_)) {
+        probe_live_ = false;
+        break;
+      }
+      probe_live_ = true;
+      if (!built_) BuildTable();
+      ResolveProbe();
+    }
+    Flush(&pending, out);
+    output_.Finish(out);
     return !out->empty();
   }
 
  private:
+  void Flush(int* pending, ColumnBatch* out) {
+    if (*pending == 0) return;
+    output_.Emit(probe_.columns(), build_cols_, lpos_.data(), rpos_.data(),
+                 *pending, out);
+    *pending = 0;
+  }
+
+  // Keys rows pos[0..n) of `cols` through `key_idx`: (*cells)[k*n + i] is
+  // key k's cell of row i. Rows whose key can match (no null; a probe string
+  // the build dictionary holds) append their index i to `rows` and their
+  // table key (the cell itself for one key column, else the cells' hash) to
+  // `keys`.
+  void KeyRows(const std::vector<ColumnVector>& cols,
+               const std::vector<int>& key_idx, const int32_t* pos, int n,
+               bool probe, std::vector<uint64_t>* cells,
+               std::vector<int32_t>* rows, std::vector<uint64_t>* keys) {
+    const size_t nk = key_idx.size(), un = static_cast<size_t>(n);
+    cells->resize(un * nk);
+    nulls_.resize(un * nk);
+    for (size_t k = 0; k < nk; ++k) {
+      const ColumnVector& v = cols[key_idx[k]];
+      uint64_t* cell = cells->data() + k * un;
+      uint8_t* null = nulls_.data() + k * un;
+      KeyCells(v, pos, n, as_double_[k], cell, null);
+      if (!probe || v.type != DataType::kString) continue;
+      const StringDictionary& build_dict =
+          *build_cols_[right_key_idx_[k]].dict;
+      if (v.dict == &build_dict) continue;
+      for (int i = 0; i < n; ++i) {  // translate into the build dictionary
+        if (null[i]) continue;
+        const int32_t code = foreign_[k].Find(
+            *v.dict, static_cast<int32_t>(cell[i]), build_dict);
+        null[i] = code < 0 ? 1 : 0;  // an absent string cannot match
+        cell[i] = static_cast<uint64_t>(code);
+      }
+    }
+    rows->clear();
+    keys->clear();
+    for (size_t i = 0; i < un; ++i) {
+      size_t seed = 0;
+      bool live = true;
+      for (size_t k = 0; k < nk && live; ++k) {
+        live = nulls_[k * un + i] == 0;  // nulls never join
+        HashCombine(&seed, (*cells)[k * un + i]);
+      }
+      if (!live) continue;
+      rows->push_back(static_cast<int32_t>(i));
+      keys->push_back(multi_key_ ? static_cast<uint64_t>(seed) : (*cells)[i]);
+    }
+  }
+
+  // Builds the chain table once the probe side's key types are known.
+  void BuildTable() {
+    const std::vector<ColumnVector>& probe_cols = probe_.columns();
+    as_double_.clear();
+    for (size_t k = 0; k < right_key_idx_.size(); ++k) {
+      const DataType l = probe_cols[left_key_idx_[k]].type;
+      const DataType r = build_cols_[right_key_idx_[k]].type;
+      DCHECK((l == DataType::kString) == (r == DataType::kString));
+      as_double_.push_back(l == DataType::kDouble || r == DataType::kDouble);
+    }
+    multi_key_ = right_key_idx_.size() > 1;
+    std::vector<int32_t> all(static_cast<size_t>(build_rows_));
+    std::iota(all.begin(), all.end(), 0);
+    std::vector<int32_t> rows;
+    std::vector<uint64_t> keys;
+    KeyRows(build_cols_, right_key_idx_, all.data(), build_rows_, false,
+            &build_cells_, &rows, &keys);
+    table_.Build(keys.data(), rows.data(), static_cast<int>(keys.size()),
+                 build_rows_);
+    built_ = true;
+  }
+
+  // One probe window over the fresh probe batch: key every row that can
+  // match, then resolve all chain heads in one FindBatch pass.
+  void ResolveProbe() {
+    probe_rows_ = probe_.size();
+    KeyRows(probe_.columns(), left_key_idx_, Positions(probe_, &pos_scratch_),
+            probe_rows_, true, &probe_cells_, &key_rows_, &win_keys_);
+    heads_.resize(win_keys_.size());
+    const int keys = static_cast<int>(win_keys_.size());
+    const int depth = table_.FindBatch(win_keys_.data(), keys, heads_.data());
+    if (keys > 0) {
+      ++ctx_->probe_windows;
+      ctx_->probe_keys += keys;
+      if (depth > ctx_->probe_in_flight) ctx_->probe_in_flight = depth;
+    }
+    probe_idx_ = 0;
+    chain_ = -1;
+  }
+
+  // Multi-column keys share chains on hash collisions: compare the cells
+  // of probe row j with those of build row r.
+  bool CellsMatch(int32_t j, int32_t r) const {
+    for (size_t k = 0; k < left_key_idx_.size(); ++k) {
+      if (probe_cells_[k * static_cast<size_t>(probe_rows_) + j] !=
+          build_cells_[k * static_cast<size_t>(build_rows_) + r]) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  const PhysicalNode& node_;
+  std::unique_ptr<Operator> left_;
+  std::unique_ptr<Operator> right_;
+  std::vector<int> left_key_idx_;
+  std::vector<int> right_key_idx_;
+  JoinOutput output_;
+  // Build side: typed columns and the chain table over its keyed rows.
+  std::vector<ColumnBuffer> build_;
+  std::vector<ColumnVector> build_cols_;
+  int build_rows_ = 0;
+  bool built_ = false;
+  std::vector<bool> as_double_;        // per key: compare as doubles
+  bool multi_key_ = false;
+  std::vector<uint64_t> build_cells_;  // key k of build row r at k*rows+r
+  std::vector<CodeRemap> foreign_;     // per key: probe -> build codes
+  ChainTable table_;
+  // Probe state: the current batch, its keyed rows and their chain heads.
+  ColumnBatch probe_;
+  bool probe_live_ = false;
+  int probe_rows_ = 0;
+  std::vector<uint64_t> probe_cells_;  // key k of probe row j at k*rows+j
+  std::vector<int32_t> key_rows_;      // logical rows with a matchable key
+  std::vector<uint64_t> win_keys_;     // their table keys
+  std::vector<int32_t> heads_;         // their chain heads
+  int probe_idx_ = 0;                  // next keyed row to walk
+  int32_t chain_ = -1;                 // next build row chained for cur_pos_
+  int32_t cur_row_ = 0;                // logical probe row owning chain_
+  int32_t cur_pos_ = 0;                // its position
+  std::vector<uint8_t> nulls_;         // KeyRows scratch
+  std::vector<int32_t> pos_scratch_;
+  std::vector<int32_t> lpos_, rpos_;   // pending pairs
+};
+
+// Sort-merge join: drains both inputs, sorts each side's non-null-key rows
+// on the join keys (Value::Compare order), then merges equal-key ranges
+// (cross product within a range, filtered by the residual predicate).
+// Resumes mid-range when the output batch fills. A nested-loop join is the
+// keyless case: one range holding every left x right pair, in left-major
+// order, filtered by its predicate.
+class MergeJoinOp : public Operator {
+ public:
+  MergeJoinOp(const PhysicalNode& node, ExecContext* ctx)
+      : Operator(ctx),
+        node_(node),
+        left_op_(BuildOperator(*node.children[0], ctx)),
+        right_op_(BuildOperator(*node.children[1], ctx)) {}
+
+  void OpenImpl() override {
+    const Layout& left_layout = node_.children[0]->output;
+    const Layout& right_layout = node_.children[1]->output;
+    left_key_idx_.clear();
+    right_key_idx_.clear();
+    for (const auto& [l, r] : node_.join_keys) {
+      int li = left_layout.IndexOf(l);
+      int ri = right_layout.IndexOf(r);
+      CHECK(li >= 0 && ri >= 0) << "merge-join key missing from child";
+      left_key_idx_.push_back(li);
+      right_key_idx_.push_back(ri);
+    }
+    output_.Bind(left_layout, right_layout,
+                 node_.kind == PhysOpKind::kNlJoin ? node_.nl_pred
+                                                   : node_.join_residual,
+                 node_.output);
+    left_.Drain(left_op_.get(), left_layout.size(), left_key_idx_);
+    right_.Drain(right_op_.get(), right_layout.size(), right_key_idx_);
+    li_ = ri_ = 0;
+    range_li_ = range_lend_ = range_rbegin_ = range_ri_ = range_rend_ = 0;
+  }
+
+  bool NextBatchImpl(ColumnBatch* out) override {
+    output_.Begin(out);
+    const int cap = out->capacity();
+    lpos_.resize(static_cast<size_t>(cap));
+    rpos_.resize(static_cast<size_t>(cap));
+    while (output_.rows() < cap) {
+      if (range_li_ == range_lend_ && !NextRange()) break;
+      const int room = cap - output_.rows();
+      int n = 0;
+      while (n < room && range_li_ < range_lend_) {
+        lpos_[n] = left_.order[range_li_];
+        rpos_[n] = right_.order[range_ri_];
+        ++n;
+        if (++range_ri_ == range_rend_) {
+          range_ri_ = range_rbegin_;
+          ++range_li_;
+        }
+      }
+      output_.Emit(left_.cols, right_.cols, lpos_.data(), rpos_.data(), n,
+                   out);
+    }
+    output_.Finish(out);
+    return !out->empty();
+  }
+
+ private:
+  // One drained input: typed columns plus its non-null-key rows in key
+  // order.
+  struct Side {
+    std::vector<ColumnBuffer> bufs;
+    std::vector<ColumnVector> cols;
+    std::vector<int32_t> order;
+
+    void Drain(Operator* op, int width, const std::vector<int>& keys) {
+      const int rows = DrainColumns(op, width, &bufs, &cols);
+      order.clear();
+      for (int32_t r = 0; r < rows; ++r) {
+        bool null_key = false;
+        for (int k : keys) null_key |= cols[k].IsNull(r);
+        if (!null_key) order.push_back(r);  // null keys never join
+      }
+      SortPositions(cols, keys, std::vector<bool>(keys.size(), false), &order);
+    }
+  };
+
+  int CompareKeys(size_t li, size_t ri) const {
+    for (size_t k = 0; k < left_key_idx_.size(); ++k) {
+      int c = CompareCells(left_.cols[left_key_idx_[k]], left_.order[li],
+                           right_.cols[right_key_idx_[k]], right_.order[ri]);
+      if (c != 0) return c;
+    }
+    return 0;
+  }
+
   // Advances to the next equal-key rectangle [range_li_, range_lend_) x
-  // [range_rbegin_, range_rend_); false when either input is exhausted.
+  // [range_rbegin_, range_rend_) of the sorted orders; false when either
+  // input is exhausted.
   bool NextRange() {
-    while (li_ < left_rows_.size() && ri_ < right_rows_.size()) {
-      int c = CompareKeys(left_rows_[li_], right_rows_[ri_]);
+    const size_t ln = left_.order.size(), rn = right_.order.size();
+    while (li_ < ln && ri_ < rn) {
+      int c = CompareKeys(li_, ri_);
       if (c < 0) {
         ++li_;
         continue;
@@ -959,15 +879,9 @@ class MergeJoinOp : public Operator {
         continue;
       }
       size_t lend = li_ + 1;
-      while (lend < left_rows_.size() &&
-             CompareKeys(left_rows_[lend], right_rows_[ri_]) == 0) {
-        ++lend;
-      }
+      while (lend < ln && CompareKeys(lend, ri_) == 0) ++lend;
       size_t rend = ri_ + 1;
-      while (rend < right_rows_.size() &&
-             CompareKeys(left_rows_[li_], right_rows_[rend]) == 0) {
-        ++rend;
-      }
+      while (rend < rn && CompareKeys(li_, rend) == 0) ++rend;
       range_li_ = li_;
       range_lend_ = lend;
       range_rbegin_ = range_ri_ = ri_;
@@ -979,30 +893,24 @@ class MergeJoinOp : public Operator {
     return false;
   }
 
-  int CompareKeys(const Row& l, const Row& r) const {
-    for (size_t i = 0; i < left_key_idx_.size(); ++i) {
-      int c = l[left_key_idx_[i]].Compare(r[right_key_idx_[i]]);
-      if (c != 0) return c;
-    }
-    return 0;
-  }
-
   const PhysicalNode& node_;
-  std::unique_ptr<Operator> left_;
-  std::unique_ptr<Operator> right_;
+  std::unique_ptr<Operator> left_op_;
+  std::unique_ptr<Operator> right_op_;
   std::vector<int> left_key_idx_;
   std::vector<int> right_key_idx_;
   JoinOutput output_;
-  std::vector<Row> left_rows_;
-  std::vector<Row> right_rows_;
+  Side left_;
+  Side right_;
   size_t li_ = 0, ri_ = 0;  // merge cursors past the current range
   size_t range_li_ = 0, range_lend_ = 0;
   size_t range_rbegin_ = 0, range_ri_ = 0, range_rend_ = 0;
+  std::vector<int32_t> lpos_, rpos_;
 };
 
 // Index nested-loop join: for every outer row, probes the inner base
-// table's sorted index at the join-key value; inner local predicates and
-// the residual are applied per match. Chosen for selective plans.
+// table's sorted index at the join-key value; the inner local predicate
+// runs as compiled kernels over the matched positions and the residual
+// over the pairs. Chosen for selective plans.
 class IndexNlJoinOp : public Operator {
  public:
   IndexNlJoinOp(const PhysicalNode& node, ExecContext* ctx)
@@ -1022,9 +930,15 @@ class IndexNlJoinOp : public Operator {
     // into a loud DCHECK instead of a dangling read.
     index_pin_ = SortedIndex::Pin(index_);
 
+    const ColumnStore& store = node_.table->columns();
+    inner_cols_.clear();
+    for (int c = 0; c < store.num_columns(); ++c) {
+      inner_cols_.push_back(store.column(c).View());
+    }
     Layout inner_layout(node_.input_cols);
-    bound_inner_filter_ =
-        node_.filter ? BindExpr(node_.filter, inner_layout) : nullptr;
+    inner_pred_ = CompiledPredicate::Compile(
+        node_.filter ? BindExpr(node_.filter, inner_layout) : nullptr,
+        inner_cols_);
     output_.Bind(outer_layout, inner_layout, node_.join_residual,
                  node_.output);
     outer_->Open();
@@ -1034,28 +948,37 @@ class IndexNlJoinOp : public Operator {
     match_idx_ = 0;
   }
 
-  bool NextBatchImpl(RowBatch* out) override {
-    while (!out->full()) {
+  bool NextBatchImpl(ColumnBatch* out) override {
+    output_.Begin(out);
+    const int cap = out->capacity();
+    lpos_.resize(static_cast<size_t>(cap));
+    rpos_.resize(static_cast<size_t>(cap));
+    while (output_.rows() < cap) {
       if (match_idx_ < matches_.size()) {
-        node_.table->GetRow(matches_[match_idx_++], &inner_);
-        ++ctx_->rows_scanned;
-        if (bound_inner_filter_ != nullptr &&
-            !EvalPredicate(bound_inner_filter_, inner_)) {
-          continue;
-        }
-        output_.Emit(input_.row(outer_idx_ - 1), inner_, out);
+        const int take = static_cast<int>(std::min<size_t>(
+            static_cast<size_t>(cap - output_.rows()),
+            matches_.size() - match_idx_));
+        ctx_->rows_scanned += take;
+        const int n = inner_pred_.FilterPositions(
+            inner_cols_, matches_.data() + match_idx_, take, rpos_.data());
+        match_idx_ += static_cast<size_t>(take);
+        std::fill(lpos_.begin(), lpos_.begin() + n, outer_pos_);
+        output_.Emit(input_.columns(), inner_cols_, lpos_.data(),
+                     rpos_.data(), n, out);
         continue;
       }
       if (outer_idx_ >= input_.size()) {
         if (!outer_->NextBatch(&input_)) break;
         outer_idx_ = 0;
       }
-      const Value& key = input_.row(outer_idx_++)[outer_key_idx_];
+      outer_pos_ = input_.pos(outer_idx_++);
       matches_.clear();
       match_idx_ = 0;
+      const Value key = input_.column(outer_key_idx_).Get(outer_pos_);
       if (key.is_null()) continue;  // nulls never join
       matches_ = index_->RangeLookup(&key, true, &key, true);
     }
+    output_.Finish(out);
     return !out->empty();
   }
 
@@ -1065,13 +988,15 @@ class IndexNlJoinOp : public Operator {
   int outer_key_idx_ = -1;
   const SortedIndex* index_ = nullptr;
   SortedIndex::Pin index_pin_;
-  ExprPtr bound_inner_filter_;
+  std::vector<ColumnVector> inner_cols_;  // spans over the inner table
+  CompiledPredicate inner_pred_;
   JoinOutput output_;
-  RowBatch input_;                // current outer batch
+  ColumnBatch input_;             // current outer batch
   int outer_idx_ = 0;             // next outer row to probe
-  std::vector<int64_t> matches_;  // inner rows of outer row outer_idx_ - 1
+  int32_t outer_pos_ = 0;         // position of the row owning matches_
+  std::vector<int64_t> matches_;  // inner rows of that outer row
   size_t match_idx_ = 0;
-  Row inner_;  // gathered inner row (columnar storage)
+  std::vector<int32_t> lpos_, rpos_;
 };
 
 // ----------------------------------------------------------- aggregation ---
@@ -1083,497 +1008,384 @@ int64_t WrapAdd(int64_t a, int64_t b) {
                               static_cast<uint64_t>(b));
 }
 
-// One aggregate's per-group state, in flat arrays indexed by group id.
-// Results are exactly those of the reference accumulator the tests check
-// against (tests/agg_reference.h): `count` counts non-null inputs (the
-// COUNT value, and "seen" for the others); SUM keeps the int64 sum of
-// integer-family inputs beside the double sum of every input in arrival
-// order and returns the int64 one for an integral result; MIN/MAX keep the
-// first extreme seen — as a row id into the fused input column (`ext_row`;
-// Column::Get rebuilds the value with its type) or as a Value.
+// One aggregate's per-group state, in flat arrays indexed by group id,
+// updated straight from typed input spans. Results are exactly those of the
+// reference accumulator the tests check against (tests/agg_reference.h):
+// `count` counts non-null inputs (the COUNT value, and "seen" for the
+// others); SUM keeps an int64 sum of integer-family input (an integral
+// result stays int64) and a double sum of double input in arrival order;
+// MIN/MAX keep the first extreme seen, typed (strings as dictionary code
+// plus dictionary), so the result keeps the input's declared type.
 struct AggState {
   AggFn fn = AggFn::kCount;
   DataType result_type = DataType::kInt64;
   bool count_star = false;  // COUNT(*): every input row counts
-  bool typed = false;       // fused: updated straight from column `col`
   int col = -1;             // plain-column argument's input index, else -1
-  ExprPtr expr;             // general argument (bound), when col < 0
+  ExprProgram program;      // computed argument, when col < 0
+  DataType arg_type = DataType::kInt64;  // declared type of the input
+  bool saw_input = false;
   std::vector<int64_t> count;
-  std::vector<int64_t> isum;
-  std::vector<double> dsum;
-  std::vector<uint8_t> non_integral;  // SUM saw a double input
-  std::vector<int32_t> ext_row;       // MIN/MAX, typed input
-  std::vector<Value> ext;             // MIN/MAX, Value input
-
-  // Whether a fused column of `type` can feed `fn` without Values.
-  static bool TypedInput(AggFn fn, DataType type) {
-    return type != DataType::kString || fn != AggFn::kSum;
-  }
+  std::vector<int64_t> isum;  // SUM of int-family input; MIN/MAX ints
+  std::vector<double> dsum;   // SUM of double input; MIN/MAX doubles
+  std::vector<int32_t> code;  // MIN/MAX strings, codes into `dict`
+  const StringDictionary* dict = nullptr;  // the input's (one per stream)
 
   void AddGroup() {
     count.push_back(0);
-    if (fn == AggFn::kSum) {
-      isum.push_back(0);
-      dsum.push_back(0);
-      non_integral.push_back(0);
-    } else if (fn != AggFn::kCount) {
-      if (typed) {
-        ext_row.push_back(-1);
-      } else {
-        ext.emplace_back();
-      }
-    }
+    if (fn == AggFn::kCount) return;
+    isum.push_back(0);
+    dsum.push_back(0);
+    if (fn != AggFn::kSum) code.push_back(-1);
   }
 
-  void Update(int32_t g, const Value& v) {
-    if (v.is_null()) return;
-    const bool first = count[g]++ == 0;
-    switch (fn) {
-      case AggFn::kCount:
-        break;
-      case AggFn::kSum:
-        if (v.type() == DataType::kDouble) {
-          non_integral[g] = 1;
-        } else {
-          isum[g] = WrapAdd(isum[g], v.AsInt64());
-        }
-        dsum[g] += v.AsDouble();
-        break;
-      case AggFn::kMin:
-        if (first || v.Compare(ext[g]) < 0) ext[g] = v;
-        break;
-      case AggFn::kMax:
-        if (first || v.Compare(ext[g]) > 0) ext[g] = v;
-        break;
-    }
-  }
-
-  // Updates groups gid[0..n) from rows sel[0..n) of column `c`.
-  void UpdateColumn(const Column& c, const int32_t* sel, const int32_t* gid,
-                    int n) {
-    const NullBitmap& nulls = c.nulls();
-    const bool has_nulls = nulls.any();
-    // Calls f(group, row) for every non-null input in arrival order.
+  // Updates groups gid[0..n) from cells pos[0..n) of `c`, in arrival
+  // order.
+  void Update(const ColumnVector& c, const int32_t* pos, const int32_t* gid,
+              int n) {
+    arg_type = c.type;
+    saw_input = true;
+    // Calls f(group, position) for every non-null input.
     auto each = [&](auto f) {
+      if (c.nulls == nullptr) {
+        for (int i = 0; i < n; ++i) f(gid[i], pos[i]);
+        return;
+      }
       for (int i = 0; i < n; ++i) {
-        if (has_nulls && nulls.Test(sel[i])) continue;
-        f(gid[i], sel[i]);
+        if (!c.IsNull(pos[i])) f(gid[i], pos[i]);
       }
     };
-    switch (fn) {
-      case AggFn::kCount:
-        each([&](int32_t g, int32_t) { ++count[g]; });
-        return;
-      case AggFn::kSum:
-        if (c.type() == DataType::kDouble) {
-          const double* v = c.doubles();
-          each([&](int32_t g, int32_t r) {
-            ++count[g];
-            non_integral[g] = 1;
-            dsum[g] += v[r];
-          });
-        } else {
-          const int64_t* v = c.ints();
-          each([&](int32_t g, int32_t r) {
-            ++count[g];
-            isum[g] = WrapAdd(isum[g], v[r]);
-            dsum[g] += static_cast<double>(v[r]);
-          });
-        }
-        return;
-      case AggFn::kMin:
-      case AggFn::kMax:
-        break;
+    if (fn == AggFn::kCount) {
+      each([&](int32_t g, int32_t) { ++count[g]; });
+      return;
+    }
+    if (fn == AggFn::kSum) {
+      if (c.type == DataType::kDouble) {
+        each([&](int32_t g, int32_t p) {
+          ++count[g];
+          dsum[g] += c.doubles[p];
+        });
+      } else {
+        each([&](int32_t g, int32_t p) {
+          ++count[g];
+          isum[g] = WrapAdd(isum[g], c.ints[p]);
+        });
+      }
+      return;
     }
     const bool min = fn == AggFn::kMin;
     // Replaces the extreme only on a strict improvement: ties keep the
-    // first row seen, as Value::Compare-based accumulation does.
-    auto extreme = [&](auto better) {
-      each([&](int32_t g, int32_t r) {
-        if (count[g]++ == 0 || better(r, ext_row[g])) ext_row[g] = r;
+    // first row seen.
+    if (c.type == DataType::kDouble) {
+      each([&](int32_t g, int32_t p) {
+        const double v = c.doubles[p];
+        if (count[g]++ == 0 || (min ? v < dsum[g] : v > dsum[g])) dsum[g] = v;
       });
-    };
-    if (c.type() == DataType::kDouble) {
-      const double* v = c.doubles();
-      extreme([&](int32_t a, int32_t b) {
-        return min ? v[a] < v[b] : v[a] > v[b];
-      });
-    } else if (c.type() == DataType::kString) {
-      const int32_t* codes = c.codes();
-      const StringDictionary& dict = c.dict();
-      extreme([&](int32_t a, int32_t b) {
-        if (codes[a] == codes[b]) return false;
-        int cmp = dict.value(codes[a]).compare(dict.value(codes[b]));
-        return min ? cmp < 0 : cmp > 0;
+    } else if (c.type == DataType::kString) {
+      dict = c.dict;
+      each([&](int32_t g, int32_t p) {
+        const int32_t v = c.codes[p];
+        if (count[g]++ == 0) {
+          code[g] = v;
+        } else if (code[g] != v) {
+          const int cmp = dict->value(v).compare(dict->value(code[g]));
+          if (min ? cmp < 0 : cmp > 0) code[g] = v;
+        }
       });
     } else {
-      const int64_t* v = c.ints();
-      extreme([&](int32_t a, int32_t b) {
-        return min ? v[a] < v[b] : v[a] > v[b];
+      each([&](int32_t g, int32_t p) {
+        const int64_t v = c.ints[p];
+        if (count[g]++ == 0 || (min ? v < isum[g] : v > isum[g])) isum[g] = v;
       });
     }
   }
 
-  // Final value of group g; `c` is the input column when typed.
-  Value Final(int32_t g, const Column* c) const {
-    if (fn == AggFn::kCount) return Value::Int64(count[g]);
-    if (count[g] == 0) return Value::Null(result_type);
-    if (fn == AggFn::kSum) {
-      if (result_type == DataType::kInt64 && !non_integral[g]) {
-        return Value::Int64(isum[g]);
-      }
-      return Value::Double(dsum[g]);
+  // Writes every group's result into `out`.
+  void Finalize(int groups, ColumnBuffer* out) const {
+    DataType type = fn == AggFn::kCount ? DataType::kInt64
+                    : saw_input         ? arg_type
+                                        : result_type;
+    if (fn == AggFn::kSum && type != DataType::kDouble) type = DataType::kInt64;
+    if (type == DataType::kDouble) {
+      std::copy(dsum.begin(), dsum.begin() + groups, out->MutableDoubles(groups));
+    } else if (type == DataType::kString) {
+      if (dict != nullptr) out->SetDict(*dict);
+      std::copy(code.begin(), code.begin() + groups, out->MutableCodes(groups));
+    } else {
+      const std::vector<int64_t>& v = fn == AggFn::kCount ? count : isum;
+      std::copy(v.begin(), v.begin() + groups, out->MutableInts(type, groups));
     }
-    return typed ? c->Get(ext_row[g]) : ext[g];
+    if (fn == AggFn::kCount) return;
+    for (int g = 0; g < groups; ++g) {
+      if (count[g] == 0) out->SetNull(g);
+    }
   }
 };
 
-// Hash aggregation over flat group ids. Groups are numbered 0..n-1 in
-// first-seen order, which is also the output order; a ChainTable resolves
-// each input row's group id — exact int64 bits or dictionary codes for a
-// single integer-family or string key of a fused scan, the key hash plus a
-// key check otherwise (multi-column and double keys, Value input). Null keys
-// group together. Aggregates accumulate into AggState's typed arrays.
-//
-// Over a scan (ScanSource) the aggregation fuses with it: each window of
-// the backing columns is filtered through the scan's compiled kernels, the
-// survivors' group ids are resolved in one pass, and plain-column
-// aggregates update straight from the column spans; a group's key is the
-// row id of its first row. Other input (e.g. join output in row batches)
-// feeds the same table and states through Values, and a group's key is its
-// first row's key Values.
-class HashAggOp : public Operator {
+// Aggregation over flat group ids, numbered 0..n-1 in first-seen order
+// (also the output order). kHashAgg resolves each input row's group through
+// a ChainTable over per-key uint64 cells (int64 bits, -0.0-normalized
+// double bits, or the string's code): a single key is its own table key
+// (nulls form one group); several pack into one exact key when every cell
+// fits, else they are hashed and checked cell by cell. kStreamAgg (the naive planner's, over input sorted
+// on the group columns) compares each row with the current group's key
+// instead: no hashing at all. Both read key and argument spans from any
+// child batch, keep each group's first key cells as its key, and
+// accumulate into AggState's typed arrays. The whole input is consumed in
+// Open; output batches are spans over the group keys and final values.
+class AggregateOp : public Operator {
  public:
-  HashAggOp(const PhysicalNode& node, ExecContext* ctx)
-      : Operator(ctx), node_(node), child_(BuildOperator(*node.children[0], ctx)) {}
+  AggregateOp(const PhysicalNode& node, ExecContext* ctx)
+      : Operator(ctx),
+        node_(node),
+        child_(BuildOperator(*node.children[0], ctx)),
+        streaming_(node.kind == PhysOpKind::kStreamAgg) {}
 
   void OpenImpl() override {
     child_->Open();
-    fused_ = child_->AsScanSource();
-    if (fused_ != nullptr) fused_->stats->fused = true;
-    const Layout& input =
-        fused_ != nullptr ? fused_->storage : node_.children[0]->output;
+    const Layout& input = node_.children[0]->output;
     group_idx_.clear();
     for (ColId c : node_.group_cols) {
       int idx = input.IndexOf(c);
       CHECK(idx >= 0) << "group column missing";
       group_idx_.push_back(idx);
     }
-    int_key_ = fused_ != nullptr && group_idx_.size() == 1 &&
-               fused_->store->column(group_idx_[0]).type() != DataType::kDouble;
-    BindAggregates(input);
+    aggs_.clear();
+    aggs_.resize(node_.aggs.size());
+    for (size_t i = 0; i < node_.aggs.size(); ++i) {
+      const AggregateItem& a = node_.aggs[i];
+      AggState& st = aggs_[i];
+      st.fn = a.fn;
+      st.result_type =
+          AggResultType(a.fn, a.arg ? a.arg->type : DataType::kInt64);
+      st.count_star = a.arg == nullptr;
+      st.arg_type = st.result_type;
+      if (a.arg == nullptr) continue;
+      ExprPtr bound = BindExpr(a.arg, input);
+      if (bound->kind == ExprKind::kBoundColumn) {
+        st.col = bound->bound_index;
+      } else {
+        st.program = ExprProgram(bound);
+      }
+    }
     // Result layout: group cols then agg outputs.
     std::vector<ColId> natural = node_.group_cols;
     for (const AggregateItem& a : node_.aggs) natural.push_back(a.output);
     map_ = MappingTo(Layout(natural), node_.output);
 
+    const size_t nk = group_idx_.size();
+    keys_.clear();
+    keys_.resize(nk);
+    group_cells_.clear();
+    group_nulls_.clear();
     table_.ResetGroups();
+    wide_.ResetGroups();
     num_groups_ = 0;
     null_group_ = -1;
-    first_row_.clear();
-    group_keys_.clear();
     // A scalar aggregate is one group from the start, so empty input still
     // yields its one row.
-    if (group_idx_.empty()) NewGroup(-1);
-    if (fused_ != nullptr) {
-      AccumulateFused();
-    } else {
-      RowBatch batch;
-      while (child_->NextBatch(&batch)) {
-        AccumulateRows(&batch.row(0), batch.size());
-      }
+    if (nk == 0) NewGroup(ColumnBatch(), 0);
+    ColumnBatch batch;
+    while (child_->NextBatch(&batch)) Accumulate(batch);
+    results_.clear();
+    results_.resize(aggs_.size());
+    for (size_t i = 0; i < aggs_.size(); ++i) {
+      aggs_[i].Finalize(num_groups_, &results_[i]);
+    }
+    out_cols_.clear();
+    for (int idx : map_) {
+      out_cols_.push_back(idx < static_cast<int>(nk)
+                              ? keys_[static_cast<size_t>(idx)].view()
+                              : results_[static_cast<size_t>(idx) - nk].view());
     }
     cursor_ = 0;
   }
 
-  // Groups are emitted in id order straight from the aggregation state.
-  bool NextBatchImpl(RowBatch* out) override {
-    while (!out->full() && cursor_ < num_groups_) {
-      EmitGroup(cursor_++, &out->AppendSlot());
+  // Groups are emitted in id order as spans over the key and result
+  // buffers.
+  bool NextBatchImpl(ColumnBatch* out) override {
+    const int n = std::min(out->capacity(), num_groups_ - cursor_);
+    if (n <= 0) return false;
+    out->Reset(static_cast<int>(out_cols_.size()));
+    for (size_t j = 0; j < out_cols_.size(); ++j) {
+      out->set_column(static_cast<int>(j), out_cols_[j]);
     }
-    return !out->empty();
+    int32_t* sel = out->MutableSel(n);
+    for (int j = 0; j < n; ++j) sel[j] = cursor_ + j;
+    out->set_size(n);
+    cursor_ += n;
+    return true;
   }
 
  private:
-  // Binds each aggregate's argument against the input layout. Fused
-  // arguments other than typed plain columns bind against a narrow layout
-  // of just the columns they read (narrow_map_), gathered per row.
-  void BindAggregates(const Layout& input) {
-    aggs_.clear();
-    std::set<ColId> narrow_cols;
-    for (const AggregateItem& a : node_.aggs) {
-      AggState st;
-      st.fn = a.fn;
-      st.result_type = ResultType(a);
-      st.count_star = a.arg == nullptr;
-      ExprPtr bound = a.arg ? BindExpr(a.arg, input) : nullptr;
-      if (bound != nullptr && bound->kind == ExprKind::kBoundColumn) {
-        st.col = bound->bound_index;
-      }
-      if (fused_ != nullptr) {
-        st.typed = st.col >= 0 &&
-                   AggState::TypedInput(
-                       a.fn, fused_->store->column(st.col).type());
-        if (!st.typed && !st.count_star) CollectColumns(a.arg, &narrow_cols);
-      } else if (st.col < 0) {
-        st.expr = bound;
-      }
-      aggs_.push_back(std::move(st));
+  void Accumulate(const ColumnBatch& batch) {
+    const int n = batch.size();
+    const int32_t* pos = Positions(batch, &pos_scratch_);
+    gids_.resize(static_cast<size_t>(n));
+    if (group_idx_.empty()) {
+      std::fill(gids_.begin(), gids_.end(), 0);
+    } else if (streaming_) {
+      StreamGroups(batch, pos, n);
+    } else {
+      HashGroups(batch, pos, n);
     }
-    narrow_map_.clear();
-    if (narrow_cols.empty()) return;
-    std::vector<ColId> cols(narrow_cols.begin(), narrow_cols.end());
-    for (ColId c : cols) narrow_map_.push_back(input.IndexOf(c));
-    Layout narrow(std::move(cols));
-    for (size_t i = 0; i < aggs_.size(); ++i) {
-      AggState& st = aggs_[i];
-      if (st.typed || st.count_star) continue;
-      st.col = -1;
-      st.expr = BindExpr(node_.aggs[i].arg, narrow);
+    const std::vector<ColumnVector>& cols = batch.columns();
+    for (AggState& st : aggs_) {
+      if (st.count_star) {
+        for (int i = 0; i < n; ++i) ++st.count[gids_[i]];
+      } else if (st.col >= 0) {
+        st.Update(cols[st.col], pos, gids_.data(), n);
+      } else {
+        iota_.resize(static_cast<size_t>(n));
+        std::iota(iota_.begin(), iota_.end(), 0);
+        st.Update(st.program.Eval(cols, pos, n).view(), iota_.data(),
+                  gids_.data(), n);
+      }
     }
   }
 
-  // Creates the next group id; `first_row` is its first input row when
-  // fused (its key is read back from there).
-  void NewGroup(int32_t first_row) {
+  // Creates the next group id, keyed by the cells at position p of `batch`.
+  void NewGroup(const ColumnBatch& batch, int32_t p) {
+    for (size_t k = 0; k < group_idx_.size(); ++k) {
+      keys_[k].Gather(batch.column(group_idx_[k]), &p, 1);
+    }
     ++num_groups_;
-    if (fused_ != nullptr) first_row_.push_back(first_row);
     for (AggState& st : aggs_) st.AddGroup();
   }
 
-  // Accumulates straight off the fused scan's backing columns, one filtered
-  // window at a time. Scan counters are credited exactly as the scan itself
-  // would credit them.
-  void AccumulateFused() {
-    const ColumnStore& store = *fused_->store;
-    const std::vector<int64_t>* pos = fused_->positions;
-    const int64_t limit = pos != nullptr ? static_cast<int64_t>(pos->size())
-                                         : store.num_rows();
-    bool value_aggs = false;
-    for (const AggState& st : aggs_) value_aggs |= !st.typed && !st.count_star;
-    Row scratch;
-    Row narrow(narrow_map_.size());
-    for (int64_t start = 0; start < limit;) {
-      const int window = static_cast<int>(
-          std::min<int64_t>(RowBatch::kDefaultCapacity, limit - start));
-      ctx_->rows_scanned += window;
-      if (fused_->count_spool_reads) ctx_->spool_rows_read += window;
-      sel_.resize(static_cast<size_t>(window));
-      const int count = FilterWindow(store, pos, *fused_->pred, start, window,
-                                     sel_.data(), &scratch);
-      start += window;
-      fused_->stats->rows_out += count;
-      stats_->rows_in += count;
-      ResolveFusedGroups(store, count);
-      for (AggState& st : aggs_) {
-        if (st.count_star) {
-          for (int i = 0; i < count; ++i) ++st.count[gids_[i]];
-        } else if (st.typed) {
-          st.UpdateColumn(store.column(st.col), sel_.data(), gids_.data(),
-                          count);
-        }
-      }
-      if (!value_aggs) continue;
-      for (int i = 0; i < count; ++i) {
-        for (size_t j = 0; j < narrow_map_.size(); ++j) {
-          store.column(narrow_map_[j]).GetInto(sel_[i], &narrow[j]);
-        }
-        for (AggState& st : aggs_) {
-          if (st.typed || st.count_star) continue;
-          st.Update(gids_[i], EvalExpr(st.expr, narrow));
-        }
-      }
+  void HashGroups(const ColumnBatch& batch, const int32_t* pos, int n) {
+    const size_t nk = group_idx_.size();
+    const size_t un = static_cast<size_t>(n);
+    cells_.resize(un * nk);  // key k's cells at [k*n, (k+1)*n)
+    nulls_.resize(un * nk);
+    for (size_t k = 0; k < nk; ++k) {
+      KeyCells(batch.column(group_idx_[k]), pos, n, /*as_double=*/false,
+               &cells_[k * un], &nulls_[k * un]);
     }
-  }
-
-  // Resolves the group ids of window rows sel_[0..n) into gids_.
-  void ResolveFusedGroups(const ColumnStore& store, int n) {
-    gids_.resize(static_cast<size_t>(n));
-    const int32_t* sel = sel_.data();
-    int32_t* gid = gids_.data();
-    if (group_idx_.empty()) {
-      std::fill(gid, gid + n, 0);
-      return;
-    }
-    if (int_key_) {
-      // Exact key bits: int64 values or dictionary codes.
-      const Column& c = store.column(group_idx_[0]);
-      const NullBitmap& nulls = c.nulls();
-      const bool has_nulls = nulls.any();
-      const bool coded = c.type() == DataType::kString;
-      const int64_t* ints = c.ints();
-      const int32_t* codes = c.codes();
-      auto exact = [](int32_t) { return true; };
-      for (int i = 0; i < n; ++i) {
-        const int32_t r = sel[i];
-        if (has_nulls && nulls.Test(r)) {
-          if (null_group_ < 0) {
-            null_group_ = num_groups_;
-            NewGroup(r);
-          }
-          gid[i] = null_group_;
+    auto exact = [](int32_t) { return true; };
+    if (nk == 1) {
+      for (size_t i = 0; i < un; ++i) {
+        if (nulls_[i]) {
+          if (null_group_ < 0) null_group_ = AddGroup(batch, pos[i], i, un);
+          gids_[i] = null_group_;
           continue;
         }
-        const uint64_t k = coded ? static_cast<uint64_t>(codes[r])
-                                 : static_cast<uint64_t>(ints[r]);
         const int32_t fresh = num_groups_;
-        gid[i] = table_.FindOrInsert(k, fresh, exact);
-        if (gid[i] == fresh) NewGroup(r);
+        gids_[i] = table_.FindOrInsert(cells_[i], fresh, exact);
+        if (gids_[i] == fresh) AddGroup(batch, pos[i], i, un);
       }
       return;
     }
-    // Generic path: hash the key cells column by column (codes for strings,
-    // -0.0 as 0.0, one constant for nulls), then find-or-insert with a key
-    // check against each candidate group's first row.
-    hashes_.assign(static_cast<size_t>(n), 0);
-    for (int k : group_idx_) {
-      const Column& c = store.column(k);
-      const NullBitmap& nulls = c.nulls();
-      const bool has_nulls = nulls.any();
-      for (int i = 0; i < n; ++i) {
-        const int32_t r = sel[i];
-        uint64_t cell;
-        if (has_nulls && nulls.Test(r)) {
-          cell = kNullKeyHash;
-        } else if (c.type() == DataType::kDouble) {
-          double d = c.doubles()[r];
-          if (d == 0) d = 0.0;
-          std::memcpy(&cell, &d, sizeof(cell));
-        } else if (c.type() == DataType::kString) {
-          cell = static_cast<uint64_t>(c.codes()[r]);
+    // Several keys. A row whose cells all fit in 64/nk bits (0 for null,
+    // string code + 1, int offset into the unsigned range; doubles never)
+    // packs into one exact key of table_. Other rows go through wide_ by
+    // hash, checked cell by cell. A key value always packs or never does,
+    // so each group lives in exactly one table.
+    const int bits = 64 / static_cast<int>(nk);
+    const int64_t half = int64_t{1} << (bits - 1);
+    kinds_.resize(nk);
+    for (size_t k = 0; k < nk; ++k) kinds_[k] = batch.column(group_idx_[k]).type;
+    for (size_t i = 0; i < un; ++i) {
+      uint64_t packed = 0;
+      bool fits = true;
+      for (size_t k = 0; k < nk && fits; ++k) {
+        const uint64_t cell = cells_[k * un + i];
+        uint64_t e = 0;
+        if (nulls_[k * un + i]) {
+          e = 0;
+        } else if (kinds_[k] == DataType::kString) {
+          e = cell + 1;
+          fits = e < (uint64_t{1} << bits);
+        } else if (kinds_[k] == DataType::kDouble) {
+          fits = false;
         } else {
-          cell = static_cast<uint64_t>(c.ints()[r]);
+          const int64_t v = static_cast<int64_t>(cell);
+          fits = v >= -half && v < half - 1;
+          e = static_cast<uint64_t>(v + half + 1);
         }
-        HashCombine(&hashes_[i], cell);
+        packed |= e << (static_cast<int>(k) * bits);
       }
-    }
-    for (int i = 0; i < n; ++i) {
-      const int32_t r = sel[i];
       const int32_t fresh = num_groups_;
-      gid[i] = table_.FindOrInsert(hashes_[i], fresh, [&](int32_t g) {
-        return SameStoredKey(store, r, first_row_[static_cast<size_t>(g)]);
-      });
-      if (gid[i] == fresh) NewGroup(r);
-    }
-  }
-
-  // Key equality of store rows a and b (nulls equal each other only).
-  bool SameStoredKey(const ColumnStore& store, int32_t a, int32_t b) const {
-    for (int k : group_idx_) {
-      const Column& c = store.column(k);
-      const bool null_a = c.IsNull(a);
-      if (null_a != c.IsNull(b)) return false;
-      if (null_a) continue;
-      switch (c.type()) {
-        case DataType::kDouble:
-          if (c.doubles()[a] != c.doubles()[b]) return false;
-          break;
-        case DataType::kString:
-          if (c.codes()[a] != c.codes()[b]) return false;
-          break;
-        default:
-          if (c.ints()[a] != c.ints()[b]) return false;
-          break;
-      }
-    }
-    return true;
-  }
-
-  // Accumulates a batch of n Value rows, one row at a time so each row's
-  // Values are read while cached.
-  void AccumulateRows(const Row* rows, int n) {
-    for (int i = 0; i < n; ++i) {
-      const Row& row = rows[i];
-      const int32_t g = RowGroup(row);
-      for (AggState& st : aggs_) {
-        if (st.count_star) {
-          ++st.count[g];
-        } else if (st.col >= 0) {
-          st.Update(g, row[st.col]);
-        } else {
-          st.Update(g, EvalExpr(st.expr, row));
-        }
-      }
-    }
-  }
-
-  // Whether `row`'s key equals group g's stored key Values.
-  bool SameKeyValues(const Row& row, int32_t g) const {
-    const Row& key = group_keys_[static_cast<size_t>(g)];
-    for (size_t k = 0; k < key.size(); ++k) {
-      if (!KeyValueEq(row[group_idx_[k]], key[k])) return false;
-    }
-    return true;
-  }
-
-  // Group id of a Value row: the key hash (Value::Hash agrees with
-  // Value::Compare across int/double and -0.0) plus a key check against
-  // each candidate group's stored key.
-  int32_t RowGroup(const Row& row) {
-    if (group_idx_.empty()) return 0;
-    const int32_t fresh = num_groups_;
-    const int32_t g = table_.FindOrInsert(
-        HashRowAt(row, group_idx_), fresh,
-        [&](int32_t id) { return SameKeyValues(row, id); });
-    if (g == fresh) {
-      group_keys_.push_back(ApplyMapping(row, group_idx_));
-      NewGroup(-1);
-    }
-    return g;
-  }
-
-  // Writes group g's row (group columns then aggregates, remapped to the
-  // node's output layout) into *out, reusing its Value storage.
-  void EmitGroup(int32_t g, Row* out) {
-    const size_t nk = group_idx_.size();
-    out->resize(map_.size());
-    for (size_t j = 0; j < map_.size(); ++j) {
-      const size_t i = static_cast<size_t>(map_[j]);
-      Value& dst = (*out)[j];
-      if (i < nk) {
-        dst = fused_ != nullptr
-                  ? fused_->store->column(group_idx_[i])
-                        .Get(first_row_[static_cast<size_t>(g)])
-                  : group_keys_[static_cast<size_t>(g)][i];
+      if (fits) {
+        gids_[i] = table_.FindOrInsert(packed, fresh, exact);
       } else {
-        const AggState& st = aggs_[i - nk];
-        dst = st.Final(g, st.typed ? &fused_->store->column(st.col) : nullptr);
+        size_t hash = 0;
+        for (size_t k = 0; k < nk; ++k) {
+          HashCombine(&hash, nulls_[k * un + i] ? kNullKeyHash : cells_[k * un + i]);
+        }
+        gids_[i] = wide_.FindOrInsert(hash, fresh, [&](int32_t id) {
+          const size_t base = static_cast<size_t>(id) * nk;
+          for (size_t k = 0; k < nk; ++k) {
+            if (cells_[k * un + i] != group_cells_[base + k] ||
+                nulls_[k * un + i] != group_nulls_[base + k]) {
+              return false;
+            }
+          }
+          return true;
+        });
       }
+      if (gids_[i] == fresh) AddGroup(batch, pos[i], i, un);
     }
   }
 
-  static DataType ResultType(const AggregateItem& a) {
-    return AggResultType(a.fn,
-                         a.arg ? a.arg->type : DataType::kInt64);
+  // Creates a group keyed by row i of the current cells (position p).
+  int32_t AddGroup(const ColumnBatch& batch, int32_t p, size_t i, size_t n) {
+    for (size_t k = 0; k < group_idx_.size(); ++k) {
+      group_cells_.push_back(cells_[k * n + i]);
+      group_nulls_.push_back(nulls_[k * n + i]);
+    }
+    NewGroup(batch, p);
+    return num_groups_ - 1;
+  }
+
+  // Sorted input: a row starts a new group unless its key compares equal
+  // (Value::Compare, nulls equal) to the current group's.
+  void StreamGroups(const ColumnBatch& batch, const int32_t* pos, int n) {
+    for (int i = 0; i < n; ++i) {
+      bool same = num_groups_ > 0;
+      for (size_t k = 0; k < group_idx_.size() && same; ++k) {
+        same = CompareCells(batch.column(group_idx_[k]), pos[i],
+                            keys_[k].view(), num_groups_ - 1) == 0;
+      }
+      if (!same) NewGroup(batch, pos[i]);
+      gids_[i] = num_groups_ - 1;
+    }
   }
 
   static constexpr uint64_t kNullKeyHash = 0x9b1a4c7d;
 
   const PhysicalNode& node_;
   std::unique_ptr<Operator> child_;
-  ScanSource* fused_ = nullptr;
-  std::vector<int> group_idx_;   // group key columns in the input layout
-  bool int_key_ = false;         // fused single non-double key: exact bits
+  const bool streaming_;
+  std::vector<int> group_idx_;  // group key columns in the input layout
   std::vector<AggState> aggs_;
-  std::vector<int> narrow_map_;  // store columns gathered for Value args
   std::vector<int> map_;
-  // Group table: ids 0..num_groups_-1 in first-seen order.
-  ChainTable table_;
+  // Groups: ids 0..num_groups_-1 in first-seen order, keyed by keys_.
+  std::vector<ColumnBuffer> keys_;     // each group's first key cells
+  ChainTable table_;  // exact keys: one column's cell, or packed cells
+  ChainTable wide_;   // several keys that do not pack: by hash
   int32_t num_groups_ = 0;
-  int32_t null_group_ = -1;           // int path: the null key's group
-  std::vector<int32_t> first_row_;    // fused: each group's first store row
-  // Value input: each group's key, one small Row per group, so many groups
-  // never reallocate one large block of Values (that raised peak RSS).
-  std::vector<Row> group_keys_;
-  // Per-window scratch.
-  std::vector<int32_t> sel_;
-  std::vector<int32_t> gids_;
-  std::vector<uint64_t> hashes_;
+  int32_t null_group_ = -1;            // single key: the null key's group
+  std::vector<uint64_t> group_cells_;  // g's key cells at g*nk
+  std::vector<uint8_t> group_nulls_;   // g's key null flags
+  // Output.
+  std::vector<ColumnBuffer> results_;
+  std::vector<ColumnVector> out_cols_;
   int32_t cursor_ = 0;  // next group to emit
+  // Per-batch scratch.
+  std::vector<int32_t> pos_scratch_;
+  std::vector<int32_t> iota_;  // dense positions of computed arguments
+  std::vector<int32_t> gids_;
+  std::vector<uint64_t> cells_;
+  std::vector<uint8_t> nulls_;
+  std::vector<DataType> kinds_;
 };
 
 // -------------------------------------------------------- project / sort ---
 
+// Column references pass their spans (and the input's selection vector)
+// through; computed items are evaluated column-wise into dense buffers. A
+// batch mixing both over a selection vector gathers the referenced columns
+// so every output column shares dense positions.
 class ProjectOp : public Operator {
  public:
   ProjectOp(const PhysicalNode& node, ExecContext* ctx)
@@ -1582,89 +1394,115 @@ class ProjectOp : public Operator {
   void OpenImpl() override {
     child_->Open();
     const Layout& child_layout = node_.children[0]->output;
-    bound_.clear();
+    std::vector<ExprPtr> bound;
     std::vector<ColId> natural;
     for (const ProjectItem& p : node_.projections) {
-      bound_.push_back(BindExpr(p.expr, child_layout));
+      bound.push_back(BindExpr(p.expr, child_layout));
       natural.push_back(p.output);
     }
-    map_ = MappingTo(Layout(natural), node_.output);
-    // Compose projection + output mapping so the batched path writes each
-    // output column directly (no intermediate natural row).
-    composed_.clear();
-    for (int idx : map_) composed_.push_back(bound_[idx]);
+    // Items in output order.
+    pass_.clear();
+    programs_.clear();
+    computed_ = false;
+    for (int idx : MappingTo(Layout(natural), node_.output)) {
+      const ExprPtr& e = bound[static_cast<size_t>(idx)];
+      const bool column = e->kind == ExprKind::kBoundColumn;
+      pass_.push_back(column ? e->bound_index : -1);
+      programs_.emplace_back(column ? nullptr : e);
+      computed_ |= !column;
+    }
   }
 
-  bool NextBatchImpl(RowBatch* out) override {
+  bool NextBatchImpl(ColumnBatch* out) override {
     if (!child_->NextBatch(&input_)) return false;
-    for (int i = 0; i < input_.size(); ++i) {
-      const Row& src = input_.row(i);
-      Row& dst = out->AppendSlot();
-      dst.resize(composed_.size());
-      for (size_t j = 0; j < composed_.size(); ++j) {
-        dst[j] = EvalExpr(composed_[j], src);
+    const int n = input_.size();
+    const int32_t* sel = input_.sel();
+    const std::vector<ColumnVector>& cols = input_.columns();
+    const bool flatten = computed_ && sel != nullptr;
+    out->Reset(static_cast<int>(pass_.size()));
+    for (size_t j = 0; j < pass_.size(); ++j) {
+      const int dst = static_cast<int>(j);
+      if (pass_[j] < 0) {
+        out->set_column(dst, programs_[j].Eval(cols, sel, n).view());
+      } else if (flatten) {
+        ColumnBuffer* buf = out->buffer(dst);
+        buf->clear();
+        buf->Gather(cols[pass_[j]], sel, n);
+        out->UseBuffer(dst);
+      } else {
+        out->set_column(dst, cols[pass_[j]]);
       }
     }
-    return !out->empty();
+    if (sel != nullptr && !flatten) {
+      std::copy(sel, sel + n, out->MutableSel(n));
+    }
+    out->set_size(n);
+    return true;
   }
 
  private:
   const PhysicalNode& node_;
   std::unique_ptr<Operator> child_;
-  std::vector<ExprPtr> bound_;
-  std::vector<int> map_;
-  std::vector<ExprPtr> composed_;
-  RowBatch input_;
+  std::vector<int> pass_;               // input column, or -1: computed
+  std::vector<ExprProgram> programs_;   // computed items
+  bool computed_ = false;
+  ColumnBatch input_;
 };
 
+// Drains the input into typed columns, stable-sorts row positions on the
+// keys (Value::Compare order, nulls first) and hands out spans over the
+// drained columns with the sorted positions as selection vectors.
 class SortOp : public Operator {
  public:
   SortOp(const PhysicalNode& node, ExecContext* ctx)
       : Operator(ctx), node_(node), child_(BuildOperator(*node.children[0], ctx)) {}
 
   void OpenImpl() override {
-    child_->Open();
     const Layout& child_layout = node_.children[0]->output;
-    key_idx_.clear();
+    std::vector<int> key_idx;
+    std::vector<bool> desc;
     for (const SortKey& k : node_.sort_keys) {
       int idx = child_layout.IndexOf(k.col);
       CHECK(idx >= 0) << "sort key missing";
-      key_idx_.push_back(idx);
+      key_idx.push_back(idx);
+      desc.push_back(k.descending);
+    }
+    const int rows =
+        DrainColumns(child_.get(), child_layout.size(), &bufs_, &cols_);
+    order_.resize(static_cast<size_t>(rows));
+    std::iota(order_.begin(), order_.end(), 0);
+    SortPositions(cols_, key_idx, desc, &order_);
+    if (node_.limit >= 0 &&
+        order_.size() > static_cast<size_t>(node_.limit)) {
+      order_.resize(static_cast<size_t>(node_.limit));
     }
     map_ = MappingTo(child_layout, node_.output);
-    rows_.clear();
-    DrainChild(child_.get(), &rows_);
-    std::stable_sort(rows_.begin(), rows_.end(),
-                     [this](const Row& a, const Row& b) {
-                       for (size_t i = 0; i < key_idx_.size(); ++i) {
-                         int c = a[key_idx_[i]].Compare(b[key_idx_[i]]);
-                         if (c != 0) {
-                           return node_.sort_keys[i].descending ? c > 0
-                                                                : c < 0;
-                         }
-                       }
-                       return false;
-                     });
-    if (node_.limit >= 0 &&
-        rows_.size() > static_cast<size_t>(node_.limit)) {
-      rows_.resize(static_cast<size_t>(node_.limit));
-    }
     cursor_ = 0;
   }
 
-  bool NextBatchImpl(RowBatch* out) override {
-    while (!out->full() && cursor_ < rows_.size()) {
-      out->AppendMapped(rows_[cursor_++], map_);
+  bool NextBatchImpl(ColumnBatch* out) override {
+    const int n = static_cast<int>(std::min<size_t>(
+        static_cast<size_t>(out->capacity()), order_.size() - cursor_));
+    if (n <= 0) return false;
+    out->Reset(static_cast<int>(map_.size()));
+    for (size_t j = 0; j < map_.size(); ++j) {
+      out->set_column(static_cast<int>(j), cols_[map_[j]]);
     }
-    return !out->empty();
+    std::copy(order_.begin() + static_cast<std::ptrdiff_t>(cursor_),
+              order_.begin() + static_cast<std::ptrdiff_t>(cursor_) + n,
+              out->MutableSel(n));
+    out->set_size(n);
+    cursor_ += static_cast<size_t>(n);
+    return true;
   }
 
  private:
   const PhysicalNode& node_;
   std::unique_ptr<Operator> child_;
-  std::vector<int> key_idx_;
+  std::vector<ColumnBuffer> bufs_;
+  std::vector<ColumnVector> cols_;
+  std::vector<int32_t> order_;  // sorted (and limited) positions
   std::vector<int> map_;
-  std::vector<Row> rows_;
   size_t cursor_ = 0;
 };
 
@@ -1696,7 +1534,7 @@ void Operator::Open() {
   stats_->open_ns += NowNanos() - t0;
 }
 
-bool Operator::NextBatch(RowBatch* out) {
+bool Operator::NextBatch(ColumnBatch* out) {
   out->clear();
   int64_t t0 = NowNanos();
   bool ok = NextBatchImpl(out);
@@ -1707,12 +1545,6 @@ bool Operator::NextBatch(RowBatch* out) {
     if (stats_->parent != nullptr) stats_->parent->rows_in += out->size();
   }
   return ok;
-}
-
-void Operator::DrainChild(Operator* child, std::vector<Row>* out) {
-  child->Open();
-  RowBatch batch;
-  while (child->NextBatch(&batch)) batch.MoveTo(out);
 }
 
 std::unique_ptr<Operator> BuildOperator(const PhysicalNode& node,
@@ -1735,16 +1567,15 @@ std::unique_ptr<Operator> BuildOperator(const PhysicalNode& node,
       op = std::make_unique<HashJoinOp>(node, ctx);
       break;
     case PhysOpKind::kMergeJoin:
+    case PhysOpKind::kNlJoin:
       op = std::make_unique<MergeJoinOp>(node, ctx);
       break;
     case PhysOpKind::kIndexNlJoin:
       op = std::make_unique<IndexNlJoinOp>(node, ctx);
       break;
-    case PhysOpKind::kNlJoin:
-      op = std::make_unique<NlJoinOp>(node, ctx);
-      break;
     case PhysOpKind::kHashAgg:
-      op = std::make_unique<HashAggOp>(node, ctx);
+    case PhysOpKind::kStreamAgg:
+      op = std::make_unique<AggregateOp>(node, ctx);
       break;
     case PhysOpKind::kProject:
       op = std::make_unique<ProjectOp>(node, ctx);
@@ -1763,8 +1594,17 @@ std::vector<Row> RunToVector(const PhysicalNode& node, ExecContext* ctx) {
   std::unique_ptr<Operator> op = BuildOperator(node, ctx);
   op->Open();
   std::vector<Row> out;
-  RowBatch batch;
-  while (op->NextBatch(&batch)) batch.MoveTo(&out);
+  ColumnBatch batch;
+  while (op->NextBatch(&batch)) {
+    for (int j = 0; j < batch.size(); ++j) {
+      const int32_t p = batch.pos(j);
+      Row row(static_cast<size_t>(batch.width()));
+      for (int c = 0; c < batch.width(); ++c) {
+        row[static_cast<size_t>(c)] = batch.column(c).Get(p);
+      }
+      out.push_back(std::move(row));
+    }
+  }
   return out;
 }
 

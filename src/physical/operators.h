@@ -1,13 +1,15 @@
 // Pull-based execution operators for PhysicalNode trees.
 //
-// Every operator yields rows in its node's declared output Layout; internal
-// layouts (e.g. the natural concatenation of join inputs) are remapped via
-// precomputed index vectors at Open() time.
+// Every operator yields batches in its node's declared output Layout;
+// internal layouts (e.g. the natural concatenation of join inputs) are
+// remapped via precomputed index vectors at Open() time.
 //
-// Operators expose one pull interface, NextBatch(RowBatch*): every operator
-// produces up to a batch of rows per call. The reference results they are
-// judged against come from the naive planner's plans (exec/naive_planner.h),
-// which join by sort-merge and nested loops only.
+// Operators expose one pull interface, NextBatch(ColumnBatch*): every
+// operator produces up to a batch of rows per call, as typed column spans
+// (physical/column_batch.h). Value rows exist only in RunToVector. The
+// reference results operators are judged against come from the naive
+// planner's plans (exec/naive_planner.h), which join by sort-merge and
+// nested loops and aggregate by sorting.
 #ifndef SUBSHARE_PHYSICAL_OPERATORS_H_
 #define SUBSHARE_PHYSICAL_OPERATORS_H_
 
@@ -16,7 +18,7 @@
 #include <vector>
 
 #include "physical/physical_plan.h"
-#include "physical/row_batch.h"
+#include "physical/column_batch.h"
 #include "storage/work_table.h"
 
 namespace subshare {
@@ -30,7 +32,6 @@ struct OperatorStats {
   std::string phase;   // which plan this operator belongs to ("cse 3", "stmt 0")
   int depth = 0;       // depth in its plan tree (for indented dumps)
   OperatorStats* parent = nullptr;
-  bool fused = false;  // scan consumed in place by its parent
   int64_t rows_in = 0;    // rows pulled from children
   int64_t rows_out = 0;   // rows produced
   int64_t batches = 0;    // batches produced
@@ -68,25 +69,6 @@ struct ExecContext {
   std::vector<std::unique_ptr<OperatorStats>> op_stats_;
 };
 
-class CompiledPredicate;
-
-// In-place access to an opened scan's backing columnar storage, used for
-// scan fusion: consumers that only read their input
-// (hash-join probe, hash aggregation) filter windows of the backing columns
-// through the scan's compiled predicate and gather only what they need —
-// instead of pulling fully materialized row copies through NextBatch.
-// Valid only after the scan's Open(); the backing store must stay immutable
-// for the consumer's lifetime (base tables and fully-materialized work
-// tables qualify; work tables are always built before their consumers run).
-struct ScanSource {
-  const ColumnStore* store = nullptr;               // backing columns
-  const std::vector<int64_t>* positions = nullptr;  // index-scan rows, else dense
-  const CompiledPredicate* pred = nullptr;  // scan filter kernels + residual
-  Layout storage;        // layout of the backing columns (store order)
-  bool count_spool_reads = false;  // credit ExecContext::spool_rows_read
-  OperatorStats* stats = nullptr;  // the scan's stats (fused consumers credit it)
-};
-
 class Operator {
  public:
   explicit Operator(ExecContext* ctx);
@@ -96,21 +78,15 @@ class Operator {
   void Open();
   // Clears `out` and fills it with up to out->capacity() rows (in the
   // node's output layout). Returns false iff the operator is exhausted and
-  // no rows were produced; a true return implies out->size() >= 1. Open and
-  // NextBatch time themselves into the operator's stats (two clock reads
-  // per call).
-  bool NextBatch(RowBatch* out);
-  // Non-null iff this operator is an opened scan over stable storage that
-  // its parent may consume in place (see ScanSource).
-  virtual ScanSource* AsScanSource() { return nullptr; }
+  // no rows were produced; a true return implies out->size() >= 1. The
+  // batch's spans stay valid until this operator's next NextBatch call.
+  // Open and NextBatch time themselves into the operator's stats (two clock
+  // reads per call).
+  bool NextBatch(ColumnBatch* out);
 
  protected:
   virtual void OpenImpl() = 0;
-  virtual bool NextBatchImpl(RowBatch* out) = 0;
-
-  // Opens `child` and drains it to completion (used by blocking operators
-  // that materialize an input in OpenImpl).
-  void DrainChild(Operator* child, std::vector<Row>* out);
+  virtual bool NextBatchImpl(ColumnBatch* out) = 0;
 
   ExecContext* ctx_;
   OperatorStats* stats_ = nullptr;
@@ -120,7 +96,8 @@ class Operator {
 std::unique_ptr<Operator> BuildOperator(const PhysicalNode& node,
                                         ExecContext* ctx);
 
-// Runs `node` to completion and returns all rows.
+// Runs `node` to completion and returns all rows: the one place batches
+// become Value rows.
 std::vector<Row> RunToVector(const PhysicalNode& node, ExecContext* ctx);
 
 }  // namespace subshare

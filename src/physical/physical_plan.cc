@@ -14,6 +14,7 @@ const char* PhysOpKindName(PhysOpKind kind) {
     case PhysOpKind::kIndexNlJoin: return "IndexNLJoin";
     case PhysOpKind::kNlJoin: return "NLJoin";
     case PhysOpKind::kHashAgg: return "HashAgg";
+    case PhysOpKind::kStreamAgg: return "StreamAgg";
     case PhysOpKind::kProject: return "Project";
     case PhysOpKind::kSort: return "Sort";
     case PhysOpKind::kSpoolScan: return "SpoolScan";
@@ -65,7 +66,8 @@ std::string PhysicalNode::ToString(
       out += "[" + Join(keys, ", ") + "]";
       break;
     }
-    case PhysOpKind::kHashAgg: {
+    case PhysOpKind::kHashAgg:
+    case PhysOpKind::kStreamAgg: {
       std::vector<std::string> g;
       for (ColId c : group_cols) g.push_back(col_name(c));
       std::vector<std::string> a;

@@ -27,6 +27,7 @@ enum class PhysOpKind {
   kIndexNlJoin,  // index nested loops: probe a base-table index per row
   kNlJoin,     // nested loops; pred may be null (cross join)
   kHashAgg,
+  kStreamAgg,  // group-by over input sorted on the group columns (naive)
   kProject,
   kSort,
   kSpoolScan,  // reads the work table of candidate CSE `cse_id`
@@ -74,7 +75,7 @@ struct PhysicalNode {
   // kNlJoin
   ExprPtr nl_pred;  // may be null (cross join)
 
-  // kHashAgg
+  // kHashAgg / kStreamAgg
   std::vector<ColId> group_cols;
   std::vector<AggregateItem> aggs;
 

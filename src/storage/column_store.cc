@@ -43,22 +43,60 @@ void Column::AppendNull() {
   nulls_.Append(true);
 }
 
-Value Column::Get(int64_t i) const {
-  if (IsNull(i)) return Value::Null(type_);
-  switch (type_) {
+Value ColumnVector::Get(int64_t p) const {
+  if (IsNull(p)) return Value::Null(type);
+  switch (type) {
     case DataType::kInt64:
-      return Value::Int64(ints_[i]);
+      return Value::Int64(ints[p]);
     case DataType::kDate:
-      return Value::Date(ints_[i]);
+      return Value::Date(ints[p]);
     case DataType::kBool:
-      return Value::Bool(ints_[i] != 0);
+      return Value::Bool(ints[p] != 0);
     case DataType::kDouble:
-      return Value::Double(doubles_[i]);
+      return Value::Double(doubles[p]);
     case DataType::kString:
-      return Value::String(dict_.value(codes_[i]));
+      return Value::String(dict->value(codes[p]));
   }
-  return Value::Null(type_);
+  return Value::Null(type);
 }
+
+ColumnVector Column::View() const {
+  ColumnVector v;
+  v.type = type_;
+  v.ints = ints_.data();
+  v.doubles = doubles_.data();
+  v.codes = codes_.data();
+  v.dict = &dict_;
+  v.nulls = nulls_.words();
+  return v;
+}
+
+void Column::AppendFrom(const ColumnVector& src, const int32_t* rows, int n,
+                        CodeRemap* remap) {
+  // Same physical vector (Get rebuilds the declared type).
+  DCHECK((src.type == DataType::kString) == (type_ == DataType::kString));
+  DCHECK((src.type == DataType::kDouble) == (type_ == DataType::kDouble));
+  for (int i = 0; i < n; ++i) {
+    const int32_t r = rows != nullptr ? rows[i] : i;
+    const bool null = src.IsNull(r);
+    nulls_.Append(null);
+    switch (type_) {
+      case DataType::kInt64:
+      case DataType::kDate:
+      case DataType::kBool:
+        ints_.push_back(null ? 0 : src.ints[r]);
+        break;
+      case DataType::kDouble:
+        doubles_.push_back(null ? 0.0 : src.doubles[r]);
+        break;
+      case DataType::kString:
+        codes_.push_back(null ? -1 : remap->Map(*src.dict, src.codes[r], &dict_));
+        break;
+    }
+  }
+}
+
+Value Column::Get(int64_t i) const { return View().Get(i); }
 
 int Column::CompareAt(int64_t i, const Value& v) const {
   bool cell_null = IsNull(i);
@@ -146,6 +184,18 @@ void ColumnStore::Clear() {
 
 void ColumnStore::FinalizeDicts() {
   for (Column& c : columns_) c.FinalizeDict();
+}
+
+void ColumnStore::AppendColumns(const std::vector<ColumnVector>& cols,
+                                const int32_t* rows, int n,
+                                std::vector<CodeRemap>* remaps) {
+  DCHECK(static_cast<int>(cols.size()) == num_columns());
+  remaps->resize(columns_.size());
+  for (int c = 0; c < num_columns(); ++c) {
+    columns_[c].AppendFrom(cols[c], rows, n, &(*remaps)[c]);
+  }
+  num_rows_ += n;
+  CHECK(num_rows_ < (int64_t{1} << 31));
 }
 
 int64_t ColumnStore::ByteSize() const {

@@ -55,11 +55,32 @@ class NullBitmap {
   int64_t ByteSize() const {
     return static_cast<int64_t>(words_.size() * sizeof(uint64_t));
   }
+  // Packed words for kernels; nullptr when no bit is set.
+  const uint64_t* words() const { return any() ? words_.data() : nullptr; }
 
  private:
   std::vector<uint64_t> words_;
   int64_t size_ = 0;
   int64_t null_count_ = 0;
+};
+
+// Read-only typed span over column cells, addressed by physical position:
+// a ColumnStore column, or an operator-owned buffer (physical/column_batch.h).
+// Exactly the span of the declared type is set; string cells are codes into
+// `dict`. This is the unit operators exchange (DESIGN.md §7).
+struct ColumnVector {
+  DataType type = DataType::kInt64;
+  const int64_t* ints = nullptr;      // kInt64 / kDate / kBool
+  const double* doubles = nullptr;    // kDouble
+  const int32_t* codes = nullptr;     // kString
+  const StringDictionary* dict = nullptr;  // kString
+  const uint64_t* nulls = nullptr;    // bit set = null; nullptr: no nulls
+
+  bool IsNull(int64_t p) const {
+    return nulls != nullptr && ((nulls[p >> 6] >> (p & 63)) & 1) != 0;
+  }
+  // Rebuilds cell p as a Value of the declared type (a date stays a date).
+  Value Get(int64_t p) const;
 };
 
 class Column {
@@ -91,10 +112,17 @@ class Column {
     nulls_.Append(false);
   }
   void AppendNull();
+  // Appends cells rows[0..n) of `src` (rows == nullptr: 0..n-1; same
+  // declared type family);
+  // foreign dictionary codes are re-interned through `remap`.
+  void AppendFrom(const ColumnVector& src, const int32_t* rows, int n,
+                  CodeRemap* remap);
+
+  // Span over this column's cells; valid while the column is unchanged.
+  ColumnVector View() const;
 
   bool IsNull(int64_t i) const { return nulls_.any() && nulls_.Test(i); }
   Value Get(int64_t i) const;
-  void GetInto(int64_t i, Value* out) const { *out = Get(i); }
 
   // Three-way comparison of cell i against `v` with Value::Compare
   // semantics (null sorts first; int-family exact; any double side compares
@@ -140,6 +168,13 @@ class ColumnStore {
   const Column& column(int c) const { return columns_[c]; }
 
   void AppendRow(const Row& row);
+  // Appends cells rows[0..n) of `cols` (one span per column, in order;
+  // rows == nullptr: 0..n-1).
+  // String codes re-intern once per distinct source code (`remaps` holds
+  // one map per column across calls).
+  void AppendColumns(const std::vector<ColumnVector>& cols,
+                     const int32_t* rows, int n,
+                     std::vector<CodeRemap>* remaps);
   // Loader fast path: exactly one typed Column::Append* per column, then
   // FinishRow() to commit the row. The DCHECK catches a missed column.
   void FinishRow() {

@@ -156,6 +156,11 @@ void StringDictionary::Clear() {
   ranks_.clear();
 }
 
+const StringDictionary& StringDictionary::Empty() {
+  static const StringDictionary* empty = new StringDictionary();
+  return *empty;
+}
+
 int64_t StringDictionary::ByteSize() const {
   int64_t bytes = 0;
   for (const std::string& v : values_) {

@@ -11,8 +11,8 @@
 // raw codes in either state.
 //
 // The value arena is append-only between Clear()/Finalize() calls: interned
-// std::string storage is stable, which is what lets fused scan consumers
-// hold column spans while they run (the fused-scan immutability contract).
+// std::string storage is stable, which is what lets batch consumers hold
+// column spans and (dictionary, code) pairs while they run.
 #ifndef SUBSHARE_STORAGE_STRING_DICT_H_
 #define SUBSHARE_STORAGE_STRING_DICT_H_
 
@@ -73,6 +73,9 @@ class StringDictionary {
   // Arena + index footprint in bytes (codes are accounted by the column).
   int64_t ByteSize() const;
 
+  // A shared empty dictionary (string columns that hold only nulls).
+  static const StringDictionary& Empty();
+
  private:
   void EnsureSortedCodes() const;
   // Build step shared by EnsureSortedCodes/EnsureRanks; caller holds
@@ -91,6 +94,45 @@ class StringDictionary {
   mutable std::mutex order_mu_;
   mutable std::vector<int32_t> sorted_codes_;  // codes in value order
   mutable std::vector<int32_t> ranks_;         // code -> rank
+};
+
+// Translates the codes of a source dictionary into a target dictionary,
+// resolving each distinct source code once rather than once per cell. The
+// map restarts when the source dictionary changes; sources must stay alive
+// (and append-only) while one remap serves them. One remap serves either
+// Map or Find, not both.
+class CodeRemap {
+ public:
+  // Code in `target`, interning the string if absent.
+  int32_t Map(const StringDictionary& src, int32_t code,
+              StringDictionary* target) {
+    int32_t& mapped = Slot(src, code);
+    if (mapped < 0) mapped = target->Intern(src.value(code));
+    return mapped;
+  }
+  // Code in `target`, or -1 if it does not hold the string.
+  int32_t Find(const StringDictionary& src, int32_t code,
+               const StringDictionary& target) {
+    int32_t& mapped = Slot(src, code);
+    if (mapped == kUnknown) mapped = target.Find(src.value(code));
+    return mapped;
+  }
+
+ private:
+  static constexpr int32_t kUnknown = -2;
+
+  int32_t& Slot(const StringDictionary& src, int32_t code) {
+    if (&src != src_) {
+      src_ = &src;
+      map_.assign(static_cast<size_t>(src.size()), kUnknown);
+    } else if (map_.size() < static_cast<size_t>(src.size())) {
+      map_.resize(static_cast<size_t>(src.size()), kUnknown);
+    }
+    return map_[static_cast<size_t>(code)];
+  }
+
+  const StringDictionary* src_ = nullptr;
+  std::vector<int32_t> map_;
 };
 
 }  // namespace subshare

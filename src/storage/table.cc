@@ -1,14 +1,55 @@
 #include "storage/table.h"
 
 #include <algorithm>
-#include <unordered_set>
-
-namespace {
-constexpr int kHistogramBuckets = 64;
-constexpr int64_t kHistogramMinRows = 100;
-}  // namespace
+#include <cmath>
 
 namespace subshare {
+
+namespace {
+
+constexpr int kHistogramBuckets = 64;
+constexpr int64_t kHistogramMinRows = 100;
+
+// The column's non-null cells that `keep` accepts, in ascending order.
+template <typename T, typename Keep>
+std::vector<T> SortedValues(const T* v, const Column& col, Keep keep) {
+  std::vector<T> sorted;
+  sorted.reserve(static_cast<size_t>(col.size() - col.nulls().null_count()));
+  for (int64_t i = 0; i < col.size(); ++i) {
+    if (!col.IsNull(i) && keep(v[i])) sorted.push_back(v[i]);
+  }
+  std::sort(sorted.begin(), sorted.end());
+  return sorted;
+}
+
+// ndv (adjacent distinct values; -0.0 == 0.0), min/max (the two ends) and,
+// with `histogram`, the equi-depth bounds read from the ascending non-null
+// values of a column of `rows` rows. Tables or columns under
+// kHistogramMinRows get no histogram; int64 -> double is monotone, so
+// integer bounds equal those of the column sorted as doubles.
+template <typename T, typename ToValue>
+void SetSortedStats(const std::vector<T>& sorted, int64_t rows, bool histogram,
+                    ColumnStats* cs, ToValue to_value) {
+  cs->ndv = sorted.empty() ? 0 : 1;
+  for (size_t i = 1; i < sorted.size(); ++i) {
+    cs->ndv += sorted[i] != sorted[i - 1];
+  }
+  if (sorted.empty()) return;
+  cs->min = to_value(sorted.front());
+  cs->max = to_value(sorted.back());
+  if (!histogram || rows < kHistogramMinRows ||
+      static_cast<int64_t>(sorted.size()) < kHistogramMinRows) {
+    return;
+  }
+  cs->histogram_bounds.resize(kHistogramBuckets + 1);
+  for (int b = 0; b <= kHistogramBuckets; ++b) {
+    size_t idx = static_cast<size_t>(
+        (sorted.size() - 1) * static_cast<double>(b) / kHistogramBuckets);
+    cs->histogram_bounds[b] = static_cast<double>(sorted[idx]);
+  }
+}
+
+}  // namespace
 
 SortedIndex::SortedIndex(const ColumnStore& store, int column)
     : store_(&store), column_(column) {
@@ -264,7 +305,6 @@ void Table::ComputeStats() {
   for (int c = 0; c < schema_.num_columns(); ++c) {
     ColumnStats& cs = stats_.columns[c];
     const Column& col = data_.column(c);
-    const bool has_nulls = col.nulls().any();
     const int64_t non_null = n - col.nulls().null_count();
 
     switch (col.type()) {
@@ -281,79 +321,26 @@ void Table::ComputeStats() {
       case DataType::kInt64:
       case DataType::kDate:
       case DataType::kBool: {
-        const int64_t* v = col.ints();
-        std::unordered_set<int64_t> distinct;
-        distinct.reserve(static_cast<size_t>(non_null));
-        bool first = true;
-        int64_t mn = 0, mx = 0;
-        for (int64_t i = 0; i < n; ++i) {
-          if (has_nulls && col.nulls().Test(i)) continue;
-          if (first || v[i] < mn) mn = v[i];
-          if (first || v[i] > mx) mx = v[i];
-          first = false;
-          distinct.insert(v[i]);
-        }
-        cs.ndv = static_cast<int64_t>(distinct.size());
-        if (!first) {
-          cs.min = col.type() == DataType::kDate ? Value::Date(mn)
-                   : col.type() == DataType::kBool ? Value::Bool(mn != 0)
-                                                   : Value::Int64(mn);
-          cs.max = col.type() == DataType::kDate ? Value::Date(mx)
-                   : col.type() == DataType::kBool ? Value::Bool(mx != 0)
-                                                   : Value::Int64(mx);
-        }
+        const std::vector<int64_t> sorted =
+            SortedValues(col.ints(), col, [](int64_t) { return true; });
+        SetSortedStats(sorted, n, col.type() != DataType::kBool, &cs,
+                       [&col](int64_t x) {
+                         return col.type() == DataType::kDate ? Value::Date(x)
+                                : col.type() == DataType::kBool
+                                    ? Value::Bool(x != 0)
+                                    : Value::Int64(x);
+                       });
         break;
       }
       case DataType::kDouble: {
-        const double* v = col.doubles();
-        std::unordered_set<double> distinct;
-        distinct.reserve(static_cast<size_t>(non_null));
-        bool first = true;
-        double mn = 0, mx = 0;
-        for (int64_t i = 0; i < n; ++i) {
-          if (has_nulls && col.nulls().Test(i)) continue;
-          if (first || v[i] < mn) mn = v[i];
-          if (first || v[i] > mx) mx = v[i];
-          first = false;
-          distinct.insert(v[i]);
-        }
-        cs.ndv = static_cast<int64_t>(distinct.size());
-        if (!first) {
-          cs.min = Value::Double(mn);
-          cs.max = Value::Double(mx);
-        }
+        // NaN cells are left out like nulls: they have no place in an
+        // order, so they count toward neither ndv, min/max nor the bounds.
+        const std::vector<double> sorted = SortedValues(
+            col.doubles(), col, [](double x) { return !std::isnan(x); });
+        SetSortedStats(sorted, n, true, &cs,
+                       [](double x) { return Value::Double(x); });
         break;
       }
-    }
-
-    // Equi-depth histogram for numeric/date columns of non-trivial tables.
-    DataType type = col.type();
-    if (type == DataType::kString || type == DataType::kBool ||
-        n < kHistogramMinRows) {
-      continue;
-    }
-    std::vector<double> values;
-    values.reserve(static_cast<size_t>(non_null));
-    if (type == DataType::kDouble) {
-      const double* v = col.doubles();
-      for (int64_t i = 0; i < n; ++i) {
-        if (!has_nulls || !col.nulls().Test(i)) values.push_back(v[i]);
-      }
-    } else {
-      const int64_t* v = col.ints();
-      for (int64_t i = 0; i < n; ++i) {
-        if (!has_nulls || !col.nulls().Test(i)) {
-          values.push_back(static_cast<double>(v[i]));
-        }
-      }
-    }
-    if (static_cast<int64_t>(values.size()) < kHistogramMinRows) continue;
-    std::sort(values.begin(), values.end());
-    cs.histogram_bounds.resize(kHistogramBuckets + 1);
-    for (int b = 0; b <= kHistogramBuckets; ++b) {
-      size_t idx = static_cast<size_t>(
-          (values.size() - 1) * static_cast<double>(b) / kHistogramBuckets);
-      cs.histogram_bounds[b] = values[idx];
     }
   }
   stats_valid_ = true;

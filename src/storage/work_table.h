@@ -51,29 +51,21 @@ class WorkTable {
     version_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // Appends `n` rows (the batched spool-write path: one call per RowBatch
-  // instead of per row).
-  void AppendBatch(const Row* rows, int64_t n) {
+  // Appends cells rows[0..n) of `cols` (rows == nullptr: 0..n-1): the
+  // spool write, one typed call per batch. String codes re-intern once per
+  // distinct source code.
+  void AppendBatch(const std::vector<ColumnVector>& cols, const int32_t* rows,
+                   int n) {
     DCHECK(shared_ == nullptr);
-    for (int64_t i = 0; i < n; ++i) data_.AppendRow(rows[i]);
+    data_.AppendColumns(cols, rows, n, &remaps_);
     version_.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
-  }
-
-  // Installs a recycled cache artifact wholesale, copying the columns
-  // (pre-pin code path; kept for tests and callers without a refcounted
-  // source).
-  void AssignFrom(const ColumnStore& store) {
-    DCHECK(shared_ == nullptr);
-    data_ = store;
-    version_.fetch_add(static_cast<uint64_t>(store.num_rows()) + 1,
-                       std::memory_order_relaxed);
   }
 
   // Installs a recycled cache artifact zero-copy: consumers scan the cached
   // columns directly, and the shared_ptr pins the backing entry alive for
   // this work table's lifetime even if the cache evicts it concurrently.
-  // The store must be fully materialized and immutable (same contract fused
-  // scans rely on). Install-once: no appends may follow.
+  // The store must be fully materialized and immutable (same contract every
+  // scan relies on). Install-once: no appends may follow.
   void InstallShared(std::shared_ptr<const ColumnStore> store) {
     DCHECK(shared_ == nullptr && data_.num_rows() == 0);
     CHECK(store != nullptr);
@@ -87,6 +79,7 @@ class WorkTable {
   Schema schema_;
   ColumnStore data_;
   std::shared_ptr<const ColumnStore> shared_;  // set: rows live in the cache
+  std::vector<CodeRemap> remaps_;  // AppendBatch: per-column code maps
   std::atomic<uint64_t> version_{0};
 };
 

@@ -76,10 +76,4 @@ std::string Value::ToString() const {
   return "?";
 }
 
-size_t HashRow(const Row& row) {
-  size_t seed = 0;
-  for (const Value& v : row) HashCombine(&seed, v.Hash());
-  return seed;
-}
-
 }  // namespace subshare

@@ -88,9 +88,6 @@ class Value {
 
 using Row = std::vector<Value>;
 
-// Hash of a full row (used by hash join / hash aggregation).
-size_t HashRow(const Row& row);
-
 }  // namespace subshare
 
 #endif  // SUBSHARE_TYPES_VALUE_H_

@@ -3,6 +3,7 @@
 // degenerate optimizer inputs.
 #include <gtest/gtest.h>
 
+#include "row_eval.h"
 #include "api/database.h"
 #include "expr/evaluator.h"
 #include "types/date.h"

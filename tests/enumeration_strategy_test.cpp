@@ -195,21 +195,8 @@ TEST_F(EnumerationStrategyTest, LargeComponentGetsGreedyLoop) {
   // A shared-prefix batch big enough that one interaction component holds
   // more than 16 candidates: that component runs the greedy loop instead
   // of the subset search, and the plan must still beat or tie the normal
-  // plan, keep the §5.2 charges and return the naive plan's results. The
-  // two cores listing `part, orders, lineitem` are left out: the naive
-  // planner joins in FROM order, and their part × orders cross product
-  // would make the reference run take seconds per statement.
-  const std::string family = testing::SharedPrefixBatch(150);
-  std::string sql;
-  for (size_t pos = 0; pos < family.size();) {
-    size_t end = family.find("; ", pos);
-    if (end == std::string::npos) end = family.size();
-    std::string stmt = family.substr(pos, end - pos);
-    if (stmt.find("from part, orders") == std::string::npos) {
-      sql += (sql.empty() ? "" : "; ") + stmt;
-    }
-    pos = end + 2;
-  }
+  // plan, keep the §5.2 charges and return the naive plan's results.
+  const std::string sql = testing::SharedPrefixBatch(150);
   QueryContext ctx(catalog_);
   auto stmts = sql::BindSql(sql, &ctx);
   ASSERT_TRUE(stmts.ok());

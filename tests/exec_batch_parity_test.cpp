@@ -1,13 +1,17 @@
 // Batch-plan parity against hash-free references.
 //
-// The executor has one pull interface (NextBatch); plans are judged against
-// plans that compute the same result through different join code. This
-// suite pins the paths that have real divergence potential:
-//   - fused scans (hash join probe / hash agg iterate the scan's backing
-//     storage in place instead of pulling gathered batches),
-//   - the single-int-key hash join fast path (exact int64 ChainTable keys)
-//     vs. the general hash-keyed path, including non-integral double and
-//     null join keys,
+// The executor has one pull interface (NextBatch) and one batch format
+// (typed column spans plus a selection vector); plans are judged against
+// plans that compute the same result through different join code, and the
+// batch-format cases at the end also against Value-level references
+// computed row by row in this file. This suite pins the paths that have
+// real divergence potential:
+//   - scans handing their store spans and filter selection to a hash-join
+//     probe or hash aggregation, and filters / projections passing spans
+//     through,
+//   - single-column hash-join keys (exact ChainTable keys) vs. multi-column
+//     (hashed) keys, including non-integral double, int64-vs-double, string
+//     keys from different dictionaries and null join keys,
 //   - every hand-built hash-join plan against the same plan with its hash
 //     joins swapped for merge joins and then nested-loop joins,
 //   - the nested-loop, merge and index nested-loop batch paths: null keys,
@@ -17,14 +21,17 @@
 //   - optimized SQL plans (CSE spool write + multi-consumer spool read,
 //     index scans on and off) against the naive planner's merge-join plans,
 //   - aggregation edge cases (null/-0.0 keys, type fidelity, expression
-//     arguments, fused and non-fused input) against an AggAccumulator
-//     reference.
+//     arguments, input straight from a scan or through a filter) against an
+//     AggAccumulator reference,
+//   - spools written from batches (dictionary re-interning), sorting over
+//     join output, and output batches never exceeding their capacity.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 #include <vector>
 
+#include "row_eval.h"
 #include "agg_reference.h"
 #include "core/cse_optimizer.h"
 #include "exec/executor.h"
@@ -61,14 +68,14 @@ std::vector<std::string> Canon(const std::vector<Row>& rows) {
 // ---------------------------------------------------------------------------
 // SQL-level parity on TPC-H: optimized plans (index scans on and off)
 // against the naive planner's plans, which join by sort-merge and nested
-// loops only; compare per-statement results.
+// loops and group by sorting; compare per-statement results.
 
 const char* kBatches[] = {
-    // Fused scan -> hash agg, dense filter windows.
+    // Scan -> hash agg, dense filter windows.
     "select l_returnflag, l_linestatus, sum(l_quantity) as q, "
     "count(*) as c from lineitem where l_shipdate < '1996-01-01' "
     "group by l_returnflag, l_linestatus",
-    // 3-way join: int-key fast path + fused probe over lineitem.
+    // 3-way join: single int keys, probe reading lineitem scan spans.
     "select c_nationkey, sum(l_extendedprice) as rev from customer, orders, "
     "lineitem where c_custkey = o_custkey and o_orderkey = l_orderkey "
     "and o_orderdate < '1996-07-01' group by c_nationkey",
@@ -465,7 +472,7 @@ TEST(ExecBatchParityTest, LargeEqualKeyRangeSpansBatches) {
     ExecContext ectx;
     std::unique_ptr<Operator> op = BuildOperator(*plan, &ectx);
     op->Open();
-    RowBatch batch;
+    ColumnBatch batch;
     int64_t total = 0;
     int batches = 0;
     while (op->NextBatch(&batch)) {
@@ -568,11 +575,10 @@ TEST(ExecBatchParityTest, IndexNlJoinOuterBatchWithMatchlessRows) {
   EXPECT_EQ(RunCanon(*join), want);
 }
 
-// Residual predicates over *fused* scans: both join children carry their own
-// scan filters (applied per window by the fused consumer), the probe side
-// holds nulls, the build side stays on the int-key fast path, and a residual
-// filters the matches.
-TEST(ExecBatchParityTest, FusedScanFiltersWithResidualAndNulls) {
+// Scan filters on both join children (the probe reads the scan's selection
+// vector), nulls on the probe side, a single int key, and a residual
+// filtering the matches.
+TEST(ExecBatchParityTest, ScanFiltersWithResidualAndNulls) {
   Rng rng(59);
   Catalog catalog;
   QueryContext ctx(&catalog);
@@ -642,10 +648,10 @@ TEST(ExecBatchParityTest, NullAndDoubleGroupKeysParity) {
 
 // ---------------------------------------------------------------------------
 // Aggregation edge cases against an AggAccumulator reference. Every shape
-// runs fused (HashAgg straight over the scan reads the columns in place)
-// and non-fused (a pass-through Filter in between feeds Values, like join
-// output). Values render with their type and doubles exactly (%a), so sums
-// must match bit for bit and min/max must keep their type.
+// runs straight over the scan (store spans plus the scan's selection) and
+// through a Filter (the filter's selection over the same spans). Values
+// render with their type and doubles exactly (%a), so sums must match bit
+// for bit and min/max must keep their type.
 
 std::string Exact(const Value& v) {
   if (v.is_null()) return "NULL";
@@ -820,13 +826,13 @@ TEST(ExecBatchParityTest, AggregationEdgeCasesMatchReference) {
     std::vector<ColId> natural;
     for (int k : keys) natural.push_back(c[k]);
     for (const AggregateItem& a : items) natural.push_back(a.output);
-    for (bool fused : {true, false}) {
+    for (bool direct : {true, false}) {
       auto agg = MakePhysical(PhysOpKind::kHashAgg);
       for (int k : keys) agg->group_cols.push_back(c[k]);
       agg->aggs = items;
       agg->output = Layout(natural);
       PhysicalNodePtr input = Scan(t, c);
-      if (!fused) {
+      if (!direct) {
         auto filter = MakePhysical(PhysOpKind::kFilter);
         filter->filter = Expr::Compare(CmpOp::kGe, col(kId),
                                        Expr::Literal(Value::Int64(0)));
@@ -837,13 +843,49 @@ TEST(ExecBatchParityTest, AggregationEdgeCasesMatchReference) {
       agg->children = {std::move(input)};
       std::vector<std::string> got = RunExact(*agg);
       EXPECT_EQ(got, ExactRows(ReferenceAgg(*t, layout, *agg)))
-          << "keys=" << keys.size() << " fused=" << fused;
+          << "keys=" << keys.size() << " direct=" << direct;
       // -0.0 and 0.0 share one group, keyed by whichever came first.
       if (keys == std::vector<int>{kKd}) {
         EXPECT_EQ(got.size(), 5u) << "{0.0,-0.0} {1.5} {2.0} {-3.25} {NULL}";
       }
     }
   }
+}
+
+// Composite group keys pack into one exact key when every cell fits its
+// share of 64 bits; int keys straddling the 32-bit boundary (and nulls)
+// mix packed and hashed groups, which must never split or merge a group.
+TEST(ExecBatchParityTest, CompositeKeysPackedAndHashedGroupsAgree) {
+  Catalog catalog;
+  QueryContext ctx(&catalog);
+  Schema schema;
+  schema.AddColumn("k", DataType::kInt64);
+  schema.AddColumn("s", DataType::kString);
+  schema.AddColumn("v", DataType::kInt64);
+  Table* t = *catalog.CreateTable("t", schema);
+  const int64_t ks[] = {1, int64_t{1} << 40, -(int64_t{1} << 40),
+                        (int64_t{1} << 31) - 2, (int64_t{1} << 31) - 1,
+                        -(int64_t{1} << 31), -(int64_t{1} << 31) - 1};
+  Rng rng(83);
+  for (int i = 0; i < 900; ++i) {
+    Value k = rng.Uniform(0, 8) == 0 ? Value::Null(DataType::kInt64)
+                                     : Value::Int64(ks[rng.Uniform(0, 6)]);
+    Value str = rng.Uniform(0, 8) == 0 ? Value::Null(DataType::kString)
+                                       : Value::String(rng.Uniform(0, 1) ? "a" : "b");
+    t->AppendRow({k, str, Value::Int64(i)});
+  }
+  auto c = ctx.columns().RelationColumns(ctx.AddRelation(*t, "t"));
+  ColId n = ctx.columns().AddSynthetic("n", DataType::kInt64);
+  ColId sv = ctx.columns().AddSynthetic("sv", DataType::kInt64);
+  auto agg = MakePhysical(PhysOpKind::kHashAgg);
+  agg->group_cols = {c[0], c[1]};
+  agg->aggs = {{AggFn::kCount, nullptr, n},
+               {AggFn::kSum, Expr::Column(c[2], DataType::kInt64), sv}};
+  agg->output = Layout({c[0], c[1], n, sv});
+  agg->children = {Scan(t, c)};
+  std::vector<std::string> got = RunExact(*agg);
+  EXPECT_EQ(got, ExactRows(ReferenceAgg(*t, Layout(c), *agg)));
+  EXPECT_EQ(got.size(), 24u);  // 8 int keys (null too) x 3 strings
 }
 
 // A CSE consumer whose compensation filter (folded into the spool scan)
@@ -904,6 +946,442 @@ TEST(ExecBatchParityTest, ScalarAggOverFullyRejectingSpoolFilter) {
     std::vector<std::string> want;
     if (!grouped) want = {"i:0|i:0|NULL|NULL|NULL|NULL|"};
     EXPECT_EQ(ExactRows(results[0].rows), want) << "grouped=" << grouped;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Batch-format parity. Operators exchange typed column spans; each case is
+// checked against a Value-level reference computed here row by row, so a
+// fault shared by every join operator (the output gather, the drained build
+// columns) cannot hide behind the merge / nested-loop swaps.
+
+// One output cell source: side 0 = left table, 1 = right table; column.
+struct OutCol {
+  int side;
+  int col;
+};
+
+// Nested-loop equi-join of two tables' rows under Value::Compare equality
+// (null keys never join), emitting `out`.
+std::vector<Row> ValueJoin(const Table& l, const Table& r,
+                           const std::vector<std::pair<int, int>>& keys,
+                           const std::vector<OutCol>& out) {
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < l.row_count(); ++i) {
+    Row lr = l.columns().GetRow(i);
+    for (int64_t j = 0; j < r.row_count(); ++j) {
+      Row rr = r.columns().GetRow(j);
+      bool match = true;
+      for (const auto& [lk, rk] : keys) {
+        match &= !lr[lk].is_null() && !rr[rk].is_null() &&
+                 lr[lk].Compare(rr[rk]) == 0;
+      }
+      if (!match) continue;
+      Row row;
+      for (const OutCol& o : out) row.push_back(o.side == 0 ? lr[o.col] : rr[o.col]);
+      rows.push_back(std::move(row));
+    }
+  }
+  return rows;
+}
+
+Schema Wide(DataType key_type) {
+  Schema s;
+  s.AddColumn("k", key_type);
+  s.AddColumn("id", DataType::kInt64);
+  s.AddColumn("d", DataType::kDate);
+  s.AddColumn("s", DataType::kString);
+  s.AddColumn("x", DataType::kDouble);
+  return s;
+}
+
+Value MaybeNull(Rng* rng, Value v) {
+  const DataType type = v.type();
+  return rng->Uniform(0, 5) == 0 ? Value::Null(type) : std::move(v);
+}
+
+// Join output carries nulls and dates from both sides with their types.
+TEST(ExecBatchParityTest, JoinOutputCarriesNullsAndDates) {
+  Rng rng(71);
+  Catalog catalog;
+  QueryContext ctx(&catalog);
+  Table* left = *catalog.CreateTable("l", Wide(DataType::kInt64));
+  Table* right = *catalog.CreateTable("r", Wide(DataType::kInt64));
+  const char* strs[] = {"pear", "fig", "kiwi"};
+  for (Table* t : {left, right}) {
+    for (int i = 0; i < 400; ++i) {
+      t->AppendRow({MaybeNull(&rng, Value::Int64(rng.Uniform(0, 30))),
+                    Value::Int64(i),
+                    MaybeNull(&rng, Value::Date(9000 + rng.Uniform(0, 99))),
+                    MaybeNull(&rng, Value::String(strs[rng.Uniform(0, 2)])),
+                    MaybeNull(&rng, Value::Double(rng.Uniform(-9, 9) / 4.0))});
+    }
+  }
+  auto lc = ctx.columns().RelationColumns(ctx.AddRelation(*left, "l"));
+  auto rc = ctx.columns().RelationColumns(ctx.AddRelation(*right, "r"));
+  auto join = MakePhysical(PhysOpKind::kHashJoin);
+  join->join_keys = {{lc[0], rc[0]}};
+  join->children = {Scan(left, lc), Scan(right, rc)};
+  join->output = Layout({rc[2], lc[2], lc[3], rc[4], lc[1], rc[1]});
+  const std::vector<Row> want =
+      ValueJoin(*left, *right, {{0, 0}},
+                {{1, 2}, {0, 2}, {0, 3}, {1, 4}, {0, 1}, {1, 1}});
+  ASSERT_GT(want.size(), 1024u);  // several output batches
+  EXPECT_EQ(RunExact(*join), ExactRows(want));
+  EXPECT_EQ(RunCanon(*SwapHashJoins(*join, PhysOpKind::kMergeJoin, ctx)),
+            Canon(want));
+}
+
+// A spool whose string column is written from two source dictionaries
+// (different codes for the same strings): reads must see values, not
+// codes, through equality and range kernels and through grouping.
+TEST(ExecBatchParityTest, SpoolStringColumnFromTwoDictionaries) {
+  Schema schema;
+  schema.AddColumn("s", DataType::kString);
+  schema.AddColumn("v", DataType::kInt64);
+  Column s1(DataType::kString), s2(DataType::kString);
+  Column v1(DataType::kInt64), v2(DataType::kInt64);
+  const std::vector<std::string> a = {"delta", "alpha", "delta", "echo"};
+  const std::vector<std::string> b = {"alpha", "bravo", "alpha", "delta"};
+  for (size_t i = 0; i < a.size(); ++i) {
+    s1.AppendString(a[i]);
+    v1.AppendInt64(static_cast<int64_t>(i));
+    s2.AppendString(b[i]);
+    v2.AppendInt64(static_cast<int64_t>(10 + i));
+  }
+  s2.AppendNull();
+  v2.AppendInt64(99);
+  Catalog catalog;
+  QueryContext ctx(&catalog);
+  Table* proto = *catalog.CreateTable("p", schema);
+  auto c = ctx.columns().RelationColumns(ctx.AddRelation(*proto, "p"));
+  WorkTableManager work_tables;
+  WorkTable* wt = work_tables.Create(7, schema);
+  wt->AppendBatch({s1.View(), v1.View()}, nullptr, 4);
+  const int32_t rows2[] = {4, 3, 2, 1, 0};
+  wt->AppendBatch({s2.View(), v2.View()}, rows2, 5);
+  ASSERT_EQ(wt->row_count(), 9);
+
+  auto spool = [&](ExprPtr filter) {
+    auto scan = MakePhysical(PhysOpKind::kSpoolScan);
+    scan->cse_id = 7;
+    scan->input_cols = c;
+    scan->output = Layout(c);
+    scan->filter = std::move(filter);
+    return scan;
+  };
+  auto run = [&](const PhysicalNode& node) {
+    ExecContext ectx;
+    ectx.work_tables = &work_tables;
+    return Canon(RunToVector(node, &ectx));
+  };
+  auto str = [&](const char* v) { return Expr::Literal(Value::String(v)); };
+  auto scol = Expr::Column(c[0], DataType::kString);
+  EXPECT_EQ(run(*spool(Expr::Compare(CmpOp::kEq, scol, str("alpha")))),
+            (std::vector<std::string>{"alpha|10|", "alpha|12|", "alpha|1|"}));
+  EXPECT_EQ(run(*spool(Expr::Compare(CmpOp::kLt, scol, str("charlie")))),
+            (std::vector<std::string>{"alpha|10|", "alpha|12|", "alpha|1|",
+                                      "bravo|11|"}));
+  ColId n = ctx.columns().AddSynthetic("n", DataType::kInt64);
+  ColId mx = ctx.columns().AddSynthetic("mx", DataType::kInt64);
+  auto agg = MakePhysical(PhysOpKind::kHashAgg);
+  agg->group_cols = {c[0]};
+  agg->aggs = {{AggFn::kCount, nullptr, n},
+               {AggFn::kMax, Expr::Column(c[1], DataType::kInt64), mx}};
+  agg->children = {spool(nullptr)};
+  agg->output = Layout({c[0], n, mx});
+  EXPECT_EQ(run(*agg),
+            (std::vector<std::string>{"NULL|1|99|", "alpha|3|12|",
+                                      "bravo|1|11|", "delta|3|13|",
+                                      "echo|1|3|"}));
+}
+
+// String join keys whose tables intern the strings in different orders (so
+// equal strings have different codes), some strings on one side only, and
+// nulls; single and composite keys.
+TEST(ExecBatchParityTest, StringJoinKeysAcrossDictionaries) {
+  Rng rng(73);
+  Catalog catalog;
+  QueryContext ctx(&catalog);
+  Table* left = *catalog.CreateTable("l", Wide(DataType::kString));
+  Table* right = *catalog.CreateTable("r", Wide(DataType::kString));
+  const char* lstr[] = {"oak", "elm", "ash", "yew"};
+  const char* rstr[] = {"yew", "fir", "oak", "ash"};
+  for (int i = 0; i < 200; ++i) {
+    for (Table* t : {left, right}) {
+      const char* s = (t == left ? lstr : rstr)[rng.Uniform(0, 3)];
+      t->AppendRow({MaybeNull(&rng, Value::String(s)), Value::Int64(i),
+                    Value::Date(9000 + i % 7),
+                    Value::String(std::to_string(rng.Uniform(0, 3))),
+                    Value::Double(i)});
+    }
+  }
+  auto lc = ctx.columns().RelationColumns(ctx.AddRelation(*left, "l"));
+  auto rc = ctx.columns().RelationColumns(ctx.AddRelation(*right, "r"));
+  for (bool composite : {false, true}) {
+    auto join = MakePhysical(PhysOpKind::kHashJoin);
+    join->join_keys = {{lc[0], rc[0]}};
+    std::vector<std::pair<int, int>> keys = {{0, 0}};
+    if (composite) {
+      join->join_keys.push_back({lc[3], rc[3]});
+      keys.push_back({3, 3});
+    }
+    join->children = {Scan(left, lc), Scan(right, rc)};
+    join->output = Layout({lc[0], rc[0], lc[1], rc[1]});
+    const std::vector<Row> want =
+        ValueJoin(*left, *right, keys, {{0, 0}, {1, 0}, {0, 1}, {1, 1}});
+    ASSERT_GT(want.size(), 0u);
+    EXPECT_EQ(RunAgainstReferences(*join, ctx), Canon(want))
+        << "composite=" << composite;
+  }
+}
+
+// int64 keys join integral doubles (and -0.0 joins 0), in both build
+// directions and inside a composite key; fractional doubles join nothing.
+TEST(ExecBatchParityTest, IntKeysJoinIntegralDoubleKeys) {
+  Catalog catalog;
+  QueryContext ctx(&catalog);
+  Table* ints = *catalog.CreateTable("i", Wide(DataType::kInt64));
+  Table* dbls = *catalog.CreateTable("d", Wide(DataType::kDouble));
+  for (int i = -3; i < 12; ++i) {
+    ints->AppendRow({Value::Int64(i), Value::Int64(i), Value::Date(9000),
+                     Value::String("s"), Value::Double(i % 2)});
+  }
+  ints->AppendRow({Value::Null(DataType::kInt64), Value::Int64(50),
+                   Value::Date(9000), Value::String("s"), Value::Double(0)});
+  const double keys[] = {-0.0, 0.0, 1.0, 2.5, 3.0, 3.0, -2.0, 11.0, 1e300};
+  int id = 100;
+  for (double k : keys) {
+    dbls->AppendRow({Value::Double(k), Value::Int64(id++), Value::Date(9001),
+                     Value::String("s"), Value::Double(id % 2)});
+  }
+  dbls->AppendRow({Value::Null(DataType::kDouble), Value::Int64(id),
+                   Value::Date(9001), Value::String("s"), Value::Double(0)});
+  auto ic = ctx.columns().RelationColumns(ctx.AddRelation(*ints, "i"));
+  auto dc = ctx.columns().RelationColumns(ctx.AddRelation(*dbls, "d"));
+  for (bool ints_probe : {true, false}) {
+    for (bool composite : {false, true}) {
+      const std::vector<ColId>& pc = ints_probe ? ic : dc;
+      const std::vector<ColId>& bc = ints_probe ? dc : ic;
+      const Table& pt = ints_probe ? *ints : *dbls;
+      const Table& bt = ints_probe ? *dbls : *ints;
+      auto join = MakePhysical(PhysOpKind::kHashJoin);
+      join->join_keys = {{pc[0], bc[0]}};
+      std::vector<std::pair<int, int>> key_idx = {{0, 0}};
+      if (composite) {
+        join->join_keys.push_back({pc[4], bc[4]});
+        key_idx.push_back({4, 4});
+      }
+      join->children = {Scan(&pt, pc), Scan(&bt, bc)};
+      join->output = Layout({pc[1], bc[1], pc[0], bc[0]});
+      const std::vector<Row> want =
+          ValueJoin(pt, bt, key_idx, {{0, 1}, {1, 1}, {0, 0}, {1, 0}});
+      EXPECT_EQ(RunExact(*join), ExactRows(want))
+          << "ints_probe=" << ints_probe << " composite=" << composite;
+      if (!composite) {
+        EXPECT_EQ(want.size(), 7u);  // -0.0,0.0,1,3,3,-2,11
+      }
+    }
+  }
+}
+
+// One probe key whose build chain (1500 rows) is longer than a batch: the
+// join resumes mid-chain, never overfills a batch, and emits every pair
+// once.
+TEST(ExecBatchParityTest, HashJoinChainOvershootsBatch) {
+  Catalog catalog;
+  QueryContext ctx(&catalog);
+  Table* left = *catalog.CreateTable("l", KV());
+  Table* right = *catalog.CreateTable("r", KV());
+  for (int i = 0; i < 3; ++i) left->AppendRow({Value::Int64(5), Value::Int64(i)});
+  left->AppendRow({Value::Int64(6), Value::Int64(9)});
+  for (int i = 0; i < 1500; ++i) {
+    right->AppendRow({Value::Int64(5), Value::Int64(1000 + i)});
+  }
+  auto lc = ctx.columns().RelationColumns(ctx.AddRelation(*left, "l"));
+  auto rc = ctx.columns().RelationColumns(ctx.AddRelation(*right, "r"));
+  auto join = MakePhysical(PhysOpKind::kHashJoin);
+  join->join_keys = {{lc[0], rc[0]}};
+  join->children = {Scan(left, lc), Scan(right, rc)};
+  join->output = Layout({lc[1], rc[1]});
+  ExecContext ectx;
+  std::unique_ptr<Operator> op = BuildOperator(*join, &ectx);
+  op->Open();
+  ColumnBatch batch;
+  int64_t total = 0;
+  while (op->NextBatch(&batch)) {
+    EXPECT_LE(batch.size(), batch.capacity());
+    total += batch.size();
+  }
+  EXPECT_EQ(total, 4500);
+  std::vector<std::string> rows = RunAgainstReferences(*join, ctx);
+  EXPECT_EQ(rows, Canon(ValueJoin(*left, *right, {{0, 0}}, {{0, 1}, {1, 1}})));
+  EXPECT_EQ(std::adjacent_find(rows.begin(), rows.end()), rows.end());
+}
+
+// A Filter over a filtered spool scan: the filter's selection vector
+// composes with the spool's, and a hash join probing it and a projection
+// reading it see only the surviving rows.
+TEST(ExecBatchParityTest, SelectionVectorsAfterFilterOverSpool) {
+  Catalog catalog;
+  QueryContext ctx(&catalog);
+  Table* t = FillAggTable(&catalog, "a", 2500);
+  Table* dim = *catalog.CreateTable("dim", KV());
+  for (int k = 0; k < 4; ++k) dim->AppendRow({Value::Int64(k), Value::Int64(10 * k)});
+  auto c = ctx.columns().RelationColumns(ctx.AddRelation(*t, "a"));
+  auto dc = ctx.columns().RelationColumns(ctx.AddRelation(*dim, "dim"));
+  enum { kId, kKi, kKd, kKs, kDt, kS, kX, kY };
+  auto col = [&](int i) { return Expr::Column(c[i], AggSchema().column(i).type); };
+  ExecutablePlan::CsePlan cse;
+  cse.cse_id = 2;
+  cse.plan = Scan(t, c);
+  cse.spool_schema = AggSchema();
+  cse.output = c;
+  auto spool = MakePhysical(PhysOpKind::kSpoolScan);
+  spool->cse_id = 2;
+  spool->input_cols = c;
+  spool->output = Layout(c);
+  spool->filter = Expr::Compare(CmpOp::kGt, col(kX), Expr::Literal(Value::Int64(-20)));
+  auto filter = MakePhysical(PhysOpKind::kFilter);
+  filter->filter = Expr::Compare(CmpOp::kLt, col(kId), Expr::Literal(Value::Int64(1800)));
+  filter->output = Layout({c[kKi], c[kId], c[kS]});
+  filter->children = {std::move(spool)};
+  auto join = MakePhysical(PhysOpKind::kHashJoin);
+  join->join_keys = {{c[kKi], dc[0]}};
+  join->children = {std::move(filter), Scan(dim, dc)};
+  join->output = Layout({c[kId], c[kS], dc[1]});
+  ExecutablePlan plan;
+  plan.cse_plans = {cse};
+  plan.root = MakePhysical(PhysOpKind::kBatch);
+  plan.root->children = {join};
+  std::vector<StatementResult> results = ExecutePlan(plan);
+  std::vector<Row> want;
+  for (int64_t r = 0; r < t->row_count(); ++r) {
+    Row row = t->columns().GetRow(r);
+    if (row[kX].is_null() || row[kX].AsInt64() <= -20) continue;
+    if (row[kId].AsInt64() >= 1800 || row[kKi].is_null()) continue;
+    if (row[kKi].AsInt64() > 3) continue;  // no dim row
+    want.push_back({row[kId], row[kS], Value::Int64(10 * row[kKi].AsInt64())});
+  }
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(ExactRows(results[0].rows), ExactRows(want));
+}
+
+// A projection computing new columns over a filtered scan (the referenced
+// columns are gathered to the computed columns' dense positions) feeding a
+// hash aggregate.
+TEST(ExecBatchParityTest, ComputedProjectionFeedsHashAgg) {
+  Catalog catalog;
+  QueryContext ctx(&catalog);
+  Table* t = FillAggTable(&catalog, "a", 3000);
+  auto c = ctx.columns().RelationColumns(ctx.AddRelation(*t, "a"));
+  enum { kId, kKi, kKd, kKs, kDt, kS, kX, kY };
+  auto col = [&](int i) { return Expr::Column(c[i], AggSchema().column(i).type); };
+  auto scan = Scan(t, c);
+  scan->filter = Expr::Compare(CmpOp::kNe, col(kKi), Expr::Literal(Value::Int64(1)));
+  ColId xy = ctx.columns().AddSynthetic("xy", DataType::kDouble);
+  ColId x2 = ctx.columns().AddSynthetic("x2", DataType::kInt64);
+  auto project = MakePhysical(PhysOpKind::kProject);
+  project->projections = {
+      {col(kKs), c[kKs]},
+      {Expr::Arith(ArithOp::kAdd, Expr::Arith(ArithOp::kMul, col(kX), col(kY)),
+                   Expr::Literal(Value::Double(0.5))),
+       xy},
+      {Expr::Arith(ArithOp::kDiv, col(kX), col(kKi)), x2},
+      {col(kDt), c[kDt]}};
+  project->output = Layout({c[kKs], xy, x2, c[kDt]});
+  project->children = {std::move(scan)};
+  ColId sxy = ctx.columns().AddSynthetic("sxy", DataType::kDouble);
+  ColId sx2 = ctx.columns().AddSynthetic("sx2", DataType::kInt64);
+  ColId mdt = ctx.columns().AddSynthetic("mdt", DataType::kDate);
+  ColId nx2 = ctx.columns().AddSynthetic("nx2", DataType::kInt64);
+  auto agg = MakePhysical(PhysOpKind::kHashAgg);
+  agg->group_cols = {c[kKs]};
+  agg->aggs = {{AggFn::kSum, Expr::Column(xy, DataType::kDouble), sxy},
+               {AggFn::kSum, Expr::Column(x2, DataType::kInt64), sx2},
+               {AggFn::kMin, Expr::Column(c[kDt], DataType::kDate), mdt},
+               {AggFn::kCount, Expr::Column(x2, DataType::kInt64), nx2}};
+  agg->output = Layout({c[kKs], sxy, sx2, mdt, nx2});
+  agg->children = {std::move(project)};
+  // Reference: per group in first-seen order, through AggAccumulator.
+  std::vector<Value> keys;
+  std::vector<std::vector<AggAccumulator>> accs;
+  for (int64_t r = 0; r < t->row_count(); ++r) {
+    Row row = t->columns().GetRow(r);
+    if (row[kKi].is_null() || row[kKi].AsInt64() == 1) continue;
+    Value vxy = row[kX].is_null() || row[kY].is_null()
+                    ? Value::Null(DataType::kDouble)
+                    : Value::Double(row[kX].AsInt64() * row[kY].AsDouble() + 0.5);
+    Value vx2 = row[kX].is_null() || row[kKi].AsInt64() == 0
+                    ? Value::Null(DataType::kInt64)
+                    : Value::Int64(row[kX].AsInt64() / row[kKi].AsInt64());
+    size_t g = 0;
+    while (g < keys.size() &&
+           !(keys[g].is_null() == row[kKs].is_null() &&
+             (keys[g].is_null() || keys[g].Compare(row[kKs]) == 0))) {
+      ++g;
+    }
+    if (g == keys.size()) {
+      keys.push_back(row[kKs]);
+      accs.push_back({AggAccumulator(AggFn::kSum), AggAccumulator(AggFn::kSum),
+                      AggAccumulator(AggFn::kMin), AggAccumulator(AggFn::kCount)});
+    }
+    accs[g][0].Update(vxy);
+    accs[g][1].Update(vx2);
+    accs[g][2].Update(row[kDt]);
+    accs[g][3].Update(vx2);
+  }
+  std::vector<Row> want;
+  for (size_t g = 0; g < keys.size(); ++g) {
+    want.push_back({keys[g], accs[g][0].Final(DataType::kDouble),
+                    accs[g][1].Final(DataType::kInt64),
+                    accs[g][2].Final(DataType::kDate),
+                    accs[g][3].Final(DataType::kInt64)});
+  }
+  EXPECT_EQ(RunExact(*agg), ExactRows(want));
+}
+
+// Sort over joined columns: string ascending, date descending (nulls
+// first), then a unique id, so the order is total and compared as is.
+TEST(ExecBatchParityTest, SortOverJoinedColumns) {
+  Rng rng(79);
+  Catalog catalog;
+  QueryContext ctx(&catalog);
+  Table* left = *catalog.CreateTable("l", Wide(DataType::kInt64));
+  Table* right = *catalog.CreateTable("r", Wide(DataType::kInt64));
+  const char* strs[] = {"nut", "bolt", "gear", "cog"};
+  for (Table* t : {left, right}) {
+    for (int i = 0; i < 300; ++i) {
+      t->AppendRow({Value::Int64(rng.Uniform(0, 40)), Value::Int64(i),
+                    MaybeNull(&rng, Value::Date(9000 + rng.Uniform(0, 9))),
+                    MaybeNull(&rng, Value::String(strs[rng.Uniform(0, 3)])),
+                    Value::Double(i)});
+    }
+  }
+  auto lc = ctx.columns().RelationColumns(ctx.AddRelation(*left, "l"));
+  auto rc = ctx.columns().RelationColumns(ctx.AddRelation(*right, "r"));
+  auto join = MakePhysical(PhysOpKind::kHashJoin);
+  join->join_keys = {{lc[0], rc[0]}};
+  join->children = {Scan(left, lc), Scan(right, rc)};
+  join->output = Layout({rc[3], lc[2], lc[1], rc[1]});
+  auto sort = MakePhysical(PhysOpKind::kSort);
+  sort->sort_keys = {{rc[3], false}, {lc[2], true}, {lc[1], false}, {rc[1], false}};
+  sort->output = join->output;
+  sort->children = {std::move(join)};
+  std::vector<Row> want =
+      ValueJoin(*left, *right, {{0, 0}}, {{1, 3}, {0, 2}, {0, 1}, {1, 1}});
+  std::stable_sort(want.begin(), want.end(), [](const Row& a, const Row& b) {
+    for (int i = 0; i < 4; ++i) {
+      int c = a[i].Compare(b[i]);
+      if (c != 0) return i == 1 ? c > 0 : c < 0;
+    }
+    return false;
+  });
+  ExecContext ectx;
+  std::vector<Row> got = RunToVector(*sort, &ectx);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(ExactRows({got[i]}), ExactRows({want[i]})) << "row " << i;
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "row_eval.h"
 #include "agg_reference.h"
 #include "expr/aggregate.h"
 #include "expr/column.h"

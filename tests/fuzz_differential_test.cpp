@@ -262,6 +262,32 @@ TEST_F(FuzzDifferentialTest, OnlyNaivePlansUseMergeJoin) {
   EXPECT_GT(naive_merge, 0) << "the corpus planned no equi-join";
 }
 
+// Counts the nodes of `kind` in a plan tree.
+int CountKind(const PhysicalNode& node, PhysOpKind kind) {
+  int n = node.kind == kind ? 1 : 0;
+  for (const PhysicalNodePtr& c : node.children) n += CountKind(*c, kind);
+  return n;
+}
+
+// The naive reference uses no hash table at all: over the corpus, its
+// plans join by sort-merge / nested loops and group by sort + StreamAgg.
+TEST_F(FuzzDifferentialTest, NaivePlansUseNoHashOperators) {
+  const std::vector<CorpusEntry> corpus = Corpus();
+  ASSERT_FALSE(corpus.empty());
+  int stream_aggs = 0;
+  for (const CorpusEntry& entry : corpus) {
+    QueryContext ctx(catalog_);
+    auto stmts = sql::BindSql(entry.sql, &ctx);
+    ASSERT_TRUE(stmts.ok()) << entry.path;
+    const ExecutablePlan plan = NaivePlanBatch(*stmts, &ctx);
+    const PhysicalNode& root = *plan.root;
+    EXPECT_EQ(CountKind(root, PhysOpKind::kHashJoin), 0) << entry.path;
+    EXPECT_EQ(CountKind(root, PhysOpKind::kHashAgg), 0) << entry.path;
+    stream_aggs += CountKind(root, PhysOpKind::kStreamAgg);
+  }
+  EXPECT_GT(stream_aggs, 0) << "the corpus planned no aggregation";
+}
+
 // Regression for the §5.2 accounting rule: when subset re-optimization
 // supersedes the plan at a candidate's LCA group, the initial cost
 // C_E + C_W must still be charged exactly once (one cse_finalized record in

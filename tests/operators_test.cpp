@@ -8,7 +8,7 @@
 #include "exec/executor.h"
 #include "logical/query.h"
 #include "expr/column.h"
-#include "physical/row_batch.h"
+#include "physical/column_batch.h"
 #include "util/rng.h"
 
 namespace subshare {
@@ -40,24 +40,32 @@ std::multiset<std::string> RowSet(const std::vector<Row>& rows) {
   return out;
 }
 
-// Draining a stream batch by batch must keep the result vector's geometric
-// growth: an exact-size reserve per batch reallocates (and moves every row
-// collected so far) on each of the 512 batches.
-TEST(OperatorsTest, RowBatchMoveToGrowsGeometrically) {
-  RowBatch batch;
-  std::vector<Row> out;
-  int reallocations = 0;
-  const int kBatches = 512;
-  for (int b = 0; b < kBatches; ++b) {
-    batch.clear();
-    while (!batch.full()) batch.AppendSlot() = Row{Value::Int64(b)};
-    const size_t capacity = out.capacity();
-    batch.MoveTo(&out);
-    if (out.capacity() != capacity) ++reallocations;
+// Owned batch columns keep their storage across batches: clear() keeps
+// capacity, so refilling a buffer batch after batch does not reallocate,
+// and gathered cells keep their declared type and dictionary.
+TEST(OperatorsTest, ColumnBufferReusesStorageAcrossBatches) {
+  Column strs(DataType::kString);
+  for (const char* s : {"x", "y"}) strs.AppendString(s);
+  strs.AppendNull();
+  ColumnBuffer buf;
+  const int32_t rows[] = {1, 2, 0};
+  buf.Gather(strs.View(), rows, 3);
+  buf.Gather(strs.View(), rows, 2);
+  std::vector<std::string> got;
+  for (int i = 0; i < buf.size(); ++i) got.push_back(buf.view().Get(i).ToString());
+  EXPECT_EQ(got, (std::vector<std::string>{"y", "NULL", "x", "y", "NULL"}));
+
+  ColumnBuffer dates;
+  Column c(DataType::kDate);
+  for (int64_t d = 0; d < ColumnBatch::kDefaultCapacity; ++d) c.AppendInt64(d);
+  dates.Gather(c.View(), nullptr, ColumnBatch::kDefaultCapacity);
+  const int64_t* first = dates.view().ints;
+  for (int round = 0; round < 64; ++round) {
+    dates.clear();
+    dates.Gather(c.View(), nullptr, ColumnBatch::kDefaultCapacity);
   }
-  EXPECT_EQ(out.size(), static_cast<size_t>(kBatches) * batch.capacity());
-  EXPECT_EQ(out.back()[0].AsInt64(), kBatches - 1);
-  EXPECT_LE(reallocations, 32);
+  EXPECT_EQ(dates.view().ints, first);
+  EXPECT_EQ(dates.view().Get(5).type(), DataType::kDate);
 }
 
 class JoinEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};

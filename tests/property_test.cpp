@@ -15,6 +15,7 @@
 #include <map>
 #include <set>
 
+#include "row_eval.h"
 #include "core/signature.h"
 #include "expr/evaluator.h"
 #include "expr/implication.h"

@@ -5,6 +5,12 @@
 // fidelity, and the ColumnStore footprint accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <optional>
+#include <set>
+
 #include "storage/column_store.h"
 #include "storage/table.h"
 
@@ -311,6 +317,124 @@ TEST(ColumnStoreTest, RowRoundTripAndDictCompression) {
   store.Clear();
   EXPECT_EQ(store.num_rows(), 0);
   EXPECT_EQ(store.column(2).size(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// ComputeStats against a set-based reference: ndv from a std::set of the
+// non-null values, min/max by scan, histogram bounds read from the values
+// sorted as doubles. NaN cells count as absent (like nulls).
+
+struct RefStats {
+  int64_t ndv = 0;
+  bool any = false;
+  double min = 0, max = 0;
+  std::vector<double> bounds;
+};
+
+RefStats Reference(const std::vector<std::optional<double>>& cells,
+                   bool histogram) {
+  RefStats ref;
+  std::set<double> distinct;  // -0.0 and 0.0 compare equal: one entry
+  std::vector<double> values;
+  for (const std::optional<double>& c : cells) {
+    if (!c || std::isnan(*c)) continue;
+    distinct.insert(*c);
+    values.push_back(*c);
+  }
+  ref.ndv = static_cast<int64_t>(distinct.size());
+  ref.any = !values.empty();
+  if (ref.any) {
+    ref.min = *std::min_element(values.begin(), values.end());
+    ref.max = *std::max_element(values.begin(), values.end());
+  }
+  if (histogram && cells.size() >= 100 && values.size() >= 100) {
+    std::sort(values.begin(), values.end());
+    for (int b = 0; b <= 64; ++b) {
+      ref.bounds.push_back(
+          values[static_cast<size_t>((values.size() - 1) * (b / 64.0))]);
+    }
+  }
+  return ref;
+}
+
+void ExpectMatches(const ColumnStats& cs, const RefStats& ref,
+                   const std::string& what) {
+  EXPECT_EQ(cs.ndv, ref.ndv) << what;
+  ASSERT_EQ(!cs.min.is_null(), ref.any) << what;
+  if (ref.any) {
+    EXPECT_EQ(cs.min.AsDouble(), ref.min) << what;
+    EXPECT_EQ(cs.max.AsDouble(), ref.max) << what;
+  }
+  EXPECT_EQ(cs.histogram_bounds, ref.bounds) << what;
+}
+
+TEST(TableStatsTest, SortedStatsMatchSetReference) {
+  Schema s;
+  s.AddColumn("i", DataType::kInt64);
+  s.AddColumn("d", DataType::kDouble);
+  s.AddColumn("b", DataType::kBool);
+  s.AddColumn("dt", DataType::kDate);
+  const int64_t kBig = (int64_t{1} << 53) + 1;  // not exact as a double
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (int rows : {0, 1, 7, 99, 100, 101, 640}) {
+    Table t(0, "t", s);
+    std::vector<std::vector<std::optional<double>>> cells(4);
+    std::vector<int64_t> ints;
+    for (int r = 0; r < rows; ++r) {
+      const bool null = r % 9 == 4;
+      const int64_t i = r % 5 == 0 ? kBig + r % 3 : (r * 7919) % 53 - 20;
+      const double d = r % 6 == 0 ? -0.0 : r % 6 == 1 ? 0.0
+                       : r % 31 == 2 ? kNan : (r * 37 % 101) / 4.0;
+      t.AppendRow({null ? Value::Null(DataType::kInt64) : Value::Int64(i),
+                   null ? Value::Null(DataType::kDouble) : Value::Double(d),
+                   null ? Value::Null(DataType::kBool) : Value::Bool(r % 3 == 0),
+                   null ? Value::Null(DataType::kDate) : Value::Date(9000 + r % 40)});
+      if (!null) ints.push_back(i);
+      cells[0].push_back(null ? std::nullopt
+                              : std::optional<double>(static_cast<double>(i)));
+      cells[1].push_back(null ? std::nullopt : std::optional<double>(d));
+      cells[2].push_back(null ? std::nullopt
+                              : std::optional<double>(r % 3 == 0 ? 1 : 0));
+      cells[3].push_back(null ? std::nullopt
+                              : std::optional<double>(9000 + r % 40));
+    }
+    t.ComputeStats();
+    const std::string what = "rows=" + std::to_string(rows);
+    // Integer ndv and min/max are exact in int64, beyond 2^53 too.
+    const std::set<int64_t> distinct_ints(ints.begin(), ints.end());
+    const ColumnStats& ci = t.stats().columns[0];
+    EXPECT_EQ(ci.ndv, static_cast<int64_t>(distinct_ints.size())) << what;
+    if (!ints.empty()) {
+      EXPECT_EQ(ci.min.AsInt64(), *distinct_ints.begin()) << what;
+      EXPECT_EQ(ci.max.AsInt64(), *distinct_ints.rbegin()) << what;
+    }
+    RefStats ref_i = Reference(cells[0], true);
+    EXPECT_EQ(ci.histogram_bounds, ref_i.bounds) << what;
+    ExpectMatches(t.stats().columns[1], Reference(cells[1], true),
+                  what + " double");
+    ExpectMatches(t.stats().columns[2], Reference(cells[2], false),
+                  what + " bool");
+    ExpectMatches(t.stats().columns[3], Reference(cells[3], true),
+                  what + " date");
+    if (!ints.empty()) {
+      EXPECT_EQ(t.stats().columns[2].min.type(), DataType::kBool);
+      EXPECT_EQ(t.stats().columns[3].min.type(), DataType::kDate);
+    }
+  }
+}
+
+TEST(TableStatsTest, AllNanDoubleColumnHasNoRange) {
+  Schema s;
+  s.AddColumn("d", DataType::kDouble);
+  Table t(0, "t", s);
+  for (int r = 0; r < 150; ++r) {
+    t.AppendRow({Value::Double(std::numeric_limits<double>::quiet_NaN())});
+  }
+  t.ComputeStats();
+  const ColumnStats& cs = t.stats().columns[0];
+  EXPECT_EQ(cs.ndv, 0);
+  EXPECT_TRUE(cs.min.is_null());
+  EXPECT_TRUE(cs.histogram_bounds.empty());
 }
 
 // ---------------------------------------------------------------------------

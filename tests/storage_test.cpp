@@ -187,11 +187,17 @@ TEST(WorkTableTest, VersionTracksAppends) {
   EXPECT_EQ(wt.version(), 0u);
   wt.AppendRow({Value::Int64(1), Value::String("a")});
   EXPECT_EQ(wt.version(), 1u);
-  Row batch[2] = {{Value::Int64(2), Value::String("b")},
-                  {Value::Int64(3), Value::String("c")}};
-  wt.AppendBatch(batch, 2);
+  Column ints(DataType::kInt64);
+  Column strs(DataType::kString);
+  for (const char* s : {"b", "c", "b"}) strs.AppendString(s);
+  for (int64_t v : {2, 3, 4}) ints.AppendInt64(v);
+  const int32_t rows[2] = {2, 1};  // cells 2 then 1
+  wt.AppendBatch({ints.View(), strs.View()}, rows, 2);
   EXPECT_EQ(wt.version(), 3u);
   EXPECT_EQ(wt.row_count(), 3);
+  EXPECT_EQ(wt.GetRow(1)[0].AsInt64(), 4);
+  EXPECT_EQ(wt.GetRow(1)[1].AsString(), "b");
+  EXPECT_EQ(wt.GetRow(2)[1].AsString(), "c");
 }
 
 TEST(WorkTableTest, ManagerLifecycle) {

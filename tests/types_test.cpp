@@ -86,13 +86,5 @@ TEST(SchemaTest, FindAndWidth) {
   EXPECT_EQ(s.ToString(), "(a:INT64, b:STRING, c:DATE)");
 }
 
-TEST(RowTest, HashRowDistinguishes) {
-  Row r1 = {Value::Int64(1), Value::String("x")};
-  Row r2 = {Value::Int64(1), Value::String("y")};
-  Row r3 = {Value::Int64(1), Value::String("x")};
-  EXPECT_EQ(HashRow(r1), HashRow(r3));
-  EXPECT_NE(HashRow(r1), HashRow(r2));
-}
-
 }  // namespace
 }  // namespace subshare
